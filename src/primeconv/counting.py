@@ -36,7 +36,6 @@ class Config:
     chunk_size: int | None = None
     threads: int = 0  # 0 = available parallelism
     moduli: tuple | None = None
-    shrink_window: bool = False
     max_n: int = 10 ** 11
     max_character_modulus: int = 10_000
 
@@ -349,9 +348,6 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
     params = segmentation.make_params(n, delta, need_window=True)
-    window = params.window
-    if config.shrink_window:
-        window = segmentation.error_window_size(params, shrink=True)
     timings["params"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     bound = math.isqrt(n)
@@ -383,14 +379,13 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
         corr = None
     elif char_weights is not None or weight is None or weight.is_unit:
         corr = error_correction.pairs_correction(
-            params, bound, residue=residue, chunk_size=config.chunk_size,
-            window=window)
+            params, bound, residue=residue, chunk_size=config.chunk_size)
     else:
         corr = error_correction.pairs_correction(
             params, bound, weight=weight, moduli=moduli,
-            chunk_size=config.chunk_size, window=window)
+            chunk_size=config.chunk_size)
     timings["correction"] = time.perf_counter() - t0
-    return approx, corr, params, primes, moduli, window, timings
+    return approx, corr, params, primes, moduli, timings
 
 
 def count_primes_result(n, config=None):
@@ -404,7 +399,7 @@ def count_primes_result(n, config=None):
         value = oracles.pi_naive(n)
         return ResultBundle("pi", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0})
-    approx, corr, params, primes, moduli, window, timings = _pi_pipeline(n, config)
+    approx, corr, params, primes, moduli, timings = _pi_pipeline(n, config)
     t0 = time.perf_counter()
     residues = []
     for (a,), p in zip(approx, moduli):
@@ -412,8 +407,8 @@ def count_primes_result(n, config=None):
     value = modmath.crt_combine(modmath.CrtPair(
         residues[0], moduli[0], residues[1], moduli[1]))
     timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("pi", n, value, params.delta, window, tuple(moduli),
-                        timings)
+    return ResultBundle("pi", n, value, params.delta, params.window,
+                        tuple(moduli), timings)
 
 
 def count_primes(n, config=None):
@@ -440,7 +435,7 @@ def sum_over_primes_result(n, power=1, config=None):
         bundle.function = "sum-primes"
         bundle.extra["power"] = power
         return bundle
-    approx, corr, params, primes, moduli, window, timings = _pi_pipeline(
+    approx, corr, params, primes, moduli, timings = _pi_pipeline(
         n, config, weight=weight)
     t0 = time.perf_counter()
     residues = []
@@ -451,7 +446,7 @@ def sum_over_primes_result(n, power=1, config=None):
     value = modmath.crt_combine(modmath.CrtPair(
         residues[0], moduli[0], residues[1], moduli[1]))
     timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("sum-primes", n, value, params.delta, window,
+    return ResultBundle("sum-primes", n, value, params.delta, params.window,
                         tuple(moduli), timings, {"power": power})
 
 
@@ -499,23 +494,24 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     # the character transforms do not depend on the residue; cache them so
     # looping over residues pays only one correction pass per residue
     key = (n, modulus, pair, str(config.delta_scale), config.cutoff,
-           config.shrink_window, config.chunk_size)
+           config.chunk_size)
     cached = _char_pipeline_cache.get(key)
     if cached is None:
         chars, _ = _character_weights(modulus, pair)
         cfg = Config(**{**config.__dict__, "moduli": pair})
-        approx, _, params, primes, _, window, timings = _pi_pipeline(
+        approx, _, params, primes, _, timings = _pi_pipeline(
             n, cfg, char_weights=chars, skip_correction=True)
-        cached = (chars, approx, params, primes, window, timings)
+        cached = (chars, approx, params, primes)
         _char_pipeline_cache[key] = cached
         while len(_char_pipeline_cache) > 8:
             _char_pipeline_cache.pop(next(iter(_char_pipeline_cache)))
-    chars, approx, params, primes, window, timings = cached
-    timings = dict(timings)
+    else:
+        timings = {}
+    chars, approx, params, primes = cached
     t0 = time.perf_counter()
     corr = error_correction.pairs_correction(
         params, math.isqrt(n), residue=(modulus, residue),
-        chunk_size=config.chunk_size, window=window)
+        chunk_size=config.chunk_size)
     timings["correction"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     r_inv = pow(residue, -1, modulus)
@@ -531,8 +527,9 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     value = modmath.crt_combine(modmath.CrtPair(
         residues[0], pair[0], residues[1], pair[1]))
     timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("pi-mod", n, value, params.delta, window, tuple(pair),
-                        timings, {"modulus": modulus, "residue": residue})
+    return ResultBundle("pi-mod", n, value, params.delta, params.window,
+                        tuple(pair), timings,
+                        {"modulus": modulus, "residue": residue})
 
 
 def count_primes_mod(n, modulus, residue, config=None):
@@ -684,7 +681,10 @@ def count_squarefree_result(n, config=None):
     if pending:
         t0 = time.perf_counter()
         delta = Fraction(1, max(d, 8 * max(2, (n - 1).bit_length())))
-        bundles = mertens_multi(sorted(pending), limit, config, delta=delta)
+        # the smallest truncation with every threshold <= trunc^2: the
+        # triple correction walks about trunc^2 pairs
+        trunc = math.isqrt(max(pending)) + 1
+        bundles = mertens_multi(sorted(pending), trunc, config, delta=delta)
         for bundle in bundles:
             total += (bundle.value - m_d) * pending[bundle.n]
         timings["mertens"] = time.perf_counter() - t0

@@ -8,7 +8,7 @@ deterministic, non-decreasing, and never at the mercy of floating point.
 """
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -158,8 +158,8 @@ class SegParams:
     """Segmentation geometry for one target bound.
 
     n: target bound; delta: exact rational cell width in log2 scale;
-    top_cell: cell_index(n); window: pairs error-window length S, or None
-    when delta * log2(n) >= 1/4 makes the window formula inapplicable.
+    top_cell: cell_index(n); window: pairs error-window length S from
+    error_window_size, or None when the window was not requested.
     Boundaries cover every integer up to at least 2n + 2.
     """
     n: int
@@ -199,24 +199,9 @@ def window_valid(n, delta):
     return False
 
 
-def error_window_size(params, shrink=False):
-    """Length S of the window (n, n+S] that can absorb misattributed mass.
-
-    Safe over-approximation: every product d1*d2 > n with
-    cell_index(d1) + factored_cell_index(d2) <= top_cell lands at or below
-    n + S. Default follows n * (2^(delta*(2+log2 n)/(1-delta)) - 1); with
-    shrink=True a tighter primorial-based scan is used (square-free divisors
-    of x have at most max{r : p1*...*pr <= x} prime factors).
-    """
-    if shrink:
-        if not window_valid(params.n, params.delta):
-            raise ValueError("error window needs delta * log2(n) < 1/4")
-        return _shrunk_window(params)
-    return window_size(params.n, params.delta)
-
-
 def window_size(n, delta):
-    """error_window_size from the bound and precision alone (no tables)."""
+    """The paper's closed-form window n * (2^(delta*(2+log2 n)/(1-delta)) - 1),
+    exact from the bound and precision alone; error_window_size's scan limit."""
     delta = Fraction(delta)
     if not window_valid(n, delta):
         raise ValueError("error window needs delta * log2(n) < 1/4")
@@ -269,17 +254,25 @@ def _max_squarefree_omega(x):
     raise RuntimeError("primorial table exhausted")
 
 
-def _shrunk_window(params):
-    full = error_window_size(params, shrink=False)
+def error_window_size(params):
+    """Length S of the window (n, n+S] that can absorb misattributed mass.
+
+    Safe over-approximation: every product d1*d2 > n with
+    cell_index(d1) + factored_cell_index(d2) <= top_cell lands at or below
+    n + S. The closed form window_size(n, delta) bounds a scan over the cells
+    past top_cell: a product in cell k needs a square-free d2 with at least
+    k - 1 - top_cell prime factors, and d2 <= cell_top(k) caps that count by
+    the largest primorial below it, so S ends at the last cell that passes.
+    """
+    full = window_size(params.n, params.delta)
     top = params.top_cell
     k_last = top  # last cell whose pairs cannot all be excluded
     k = top + 1
     while params.cell_floor(k) <= params.n + full:
-        cell_max = params.cell_top(k)
-        if k - 1 - _max_squarefree_omega(cell_max) <= top:
+        if k - 1 - _max_squarefree_omega(params.cell_top(k)) <= top:
             k_last = k
         k += 1
-    return max(0, params.cell_top(k_last) - params.n)
+    return min(full, max(0, params.cell_top(k_last) - params.n))
 
 
 def make_params(n, delta, *, need_window=False):
@@ -294,9 +287,7 @@ def make_params(n, delta, *, need_window=False):
     params = SegParams(n=n, delta=delta, top_cell=top, window=None,
                        bounds=bounds, bounds_np=np.array(bounds, dtype=np.uint64))
     if need_window:
-        window = error_window_size(params)
-        params = SegParams(n=n, delta=delta, top_cell=top, window=window,
-                           bounds=bounds, bounds_np=params.bounds_np)
+        params = replace(params, window=error_window_size(params))
     return params
 
 

@@ -13,11 +13,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import fixtures
 import primeconv
 from primeconv import counting, error_correction as ec, modmath, oracles
 from primeconv import segmentation as seg, sieve, smooth_mobius as sm
+
+pytestmark = pytest.mark.slow
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -245,6 +248,9 @@ def test_criterion_5_identity_suite(capsys):
             corr = ec.pairs_correction(params, b, window=window)
             if segmented - dirichlet != corr:
                 bad.append(("error-term", n, j))
+            shrunk = seg.error_window_size(params)
+            if ec.pairs_correction(params, b, window=shrunk) != corr:
+                bad.append(("shrunk-window", n, j))
         if bad:
             break
     dt = time.perf_counter() - t0

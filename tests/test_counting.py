@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import primeconv
-from primeconv import counting, modmath, oracles
+from primeconv import counting, error_correction, modmath, oracles
+from primeconv import segmentation
 
 FAST = counting.Config(cutoff=500)
 
@@ -135,6 +136,11 @@ def test_count_squarefree_examples_and_consistency():
         direct = sum(int(mu[d]) * (n // (d * d))
                      for d in range(1, math.isqrt(n) + 1))
         assert got == direct == oracles.sqfree_naive(n), n
+    # OEIS A071172; the default config hands thresholds above the cutoff to
+    # mertens_multi, a cutoff above sqrt(n) answers from the sieve alone
+    assert primeconv.count_squarefree(10 ** 11) == 60792710280
+    assert primeconv.count_squarefree(
+        10 ** 11, counting.Config(cutoff=10 ** 6)) == 60792710280
 
 
 def test_totient_sum_examples_and_random():
@@ -155,12 +161,36 @@ def test_delta_scale_is_neutral_for_values():
         assert primeconv.count_primes(n, cfg) == base, scale
 
 
-def test_shrunk_window_config_matches_default():
-    n = 200_000
-    cfg = counting.Config(shrink_window=True)
-    assert primeconv.count_primes(n, cfg) == primeconv.count_primes(n)
-    m = 150_001
-    assert primeconv.mertens(m, cfg) == primeconv.mertens(m)
+def test_shrunk_window_matches_closed_form_window():
+    # at the engine's delta both windows take the screen route
+    for n in (200_000, 10 ** 7):
+        delta = counting._pipeline_delta(n, counting.Config())
+        params = segmentation.make_params(n, delta, need_window=True)
+        full = segmentation.window_size(n, delta)
+        assert params.window < full
+        bound = math.isqrt(n)
+        assert (error_correction.pairs_correction(params, bound)
+                == error_correction.pairs_correction(params, bound,
+                                                     window=full)), n
+
+
+def test_engine_window_lengths():
+    for n, expect in ((10 ** 8, 1_859_138), (10 ** 9, 6_722_164),
+                      (10 ** 10, 27_669_229)):
+        delta = counting._pipeline_delta(n, counting.Config())
+        params = segmentation.make_params(n, delta, need_window=True)
+        assert params.window == expect, n
+        assert params.window <= segmentation.window_size(n, delta)
+
+
+def test_cache_hit_reports_only_its_own_phases():
+    counting._char_pipeline_cache.clear()
+    n = 2 * 10 ** 5 + 3
+    first = counting.count_primes_mod_result(n, 4, 1)
+    second = counting.count_primes_mod_result(n, 4, 3)
+    assert "convolution" in first.timings
+    assert set(second.timings) == {"correction", "combine"}
+    assert first.value + second.value + 1 == primeconv.count_primes(n)
 
 
 def test_result_bundles_carry_provenance():

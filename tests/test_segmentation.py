@@ -127,15 +127,15 @@ def test_factored_cell_bound_up_to_1e5():
 def test_window_size_examples():
     # formula value via decimal arithmetic as an independent check
     n, delta = 10 ** 6, Fraction(1, 10 ** 4)
-    params = seg.make_params(n, delta, need_window=True)
+    window = seg.window_size(n, delta)
     decimal.getcontext().prec = 60
     d = decimal.Decimal(delta.numerator) / decimal.Decimal(delta.denominator)
     log2n = decimal.Decimal(math.log2(n))  # float log is fine at this scale
     x = d * (2 + log2n) / (1 - d)
     val = (decimal.Decimal(2) ** x - 1) * n
     expect = int(val.to_integral_value(rounding=decimal.ROUND_CEILING))
-    assert abs(params.window - expect) <= 1
-    assert params.window >= expect  # never under-approximates
+    assert abs(window - expect) <= 1
+    assert window >= expect  # never under-approximates
 
 
 def test_window_zero_when_formula_below_one():
@@ -197,8 +197,7 @@ def test_window_covers_every_contributing_pair():
 def test_shrunk_window_also_covers_pairs_and_is_smaller():
     n, delta = 20000, Fraction(1, 1000)
     params = seg.make_params(n, delta, need_window=True)
-    shrunk = seg.error_window_size(params, shrink=True)
-    assert 0 <= shrunk <= params.window
+    assert 0 <= params.window < seg.window_size(n, delta)
     # a square-free d2 with omega(d2) prime factors is at least the primorial
     assert seg._max_squarefree_omega(2 * 3 * 5 * 7) == 4
     assert seg._max_squarefree_omega(2 * 3 * 5 * 7 - 1) == 3
