@@ -2,15 +2,16 @@
 
 Array convolution over log-scale cells credits some products d1*d2 (or
 d1*d2*d3) just past the target bound as if they were inside it. Every such
-product lies in a short window (n, n+S]; this module computes the exact
-correction sum two ways:
+product lies in a short window (n, n+S]. The pair sum is computed
 
-* a per-integer depth-first walk over the square-free smooth divisors of each
-  factored window element, pruned to divisors with enough prime factors to
-  matter (the reference route, also the test surface), and
-* a divisor-major aggregation that, for each admissible divisor, counts the
-  cofactors inside an interval directly from the cell-boundary table (the
-  production route; same sum, no per-divisor Python work).
+* by a per-integer depth-first walk over the square-free smooth divisors of
+  each factored window element, pruned to divisors with enough prime factors
+  to matter (taken for tiny windows), or
+* by a divisor-major aggregation that, for each admissible divisor, counts
+  the cofactors inside an interval directly from the cell-boundary table.
+
+The triple sum (Mertens) is counted in two halves split on d1*d2, with one
+interval count per pair in each: see triples_correction.
 """
 
 import math
@@ -26,16 +27,12 @@ class CorrectionJob:
     """Window description for one correction run.
 
     interval holds the complete factorizations of (lo, hi] and is built
-    lazily; mode selects the pair walk (prime counting and weighted variants)
-    or the triple walk (Mertens); residue restricts to window elements
-    congruent to r mod m.
+    lazily; residue restricts to window elements congruent to r mod m.
     """
     params: segmentation.SegParams
     lo: int
     hi: int
     bound: int
-    mode: str = "pairs"
-    trunc: int = 0
     residue: tuple | None = None
     interval: list | None = field(default=None, repr=False)
 
@@ -51,20 +48,13 @@ def pairs_job(params, bound, *, residue=None, window=None):
         if window is None:
             window = segmentation.error_window_size(params)
     return CorrectionJob(params=params, lo=params.n, hi=params.n + window,
-                         bound=bound, mode="pairs", residue=residue)
+                         bound=bound, residue=residue)
 
 
 def triple_window(params):
     """Window length for triple corrections: only cell indices within two of
     the top cell can host a contributing triple."""
     return max(0, params.cell_top(params.top_cell + 2) - params.n)
-
-
-def triples_job(params, trunc, *, window=None):
-    if window is None:
-        window = triple_window(params)
-    return CorrectionJob(params=params, lo=params.n, hi=params.n + window,
-                         bound=trunc, mode="triples", trunc=trunc)
 
 
 def error_term_pairs(job, weight=None, modulus=None):
@@ -76,8 +66,6 @@ def error_term_pairs(job, weight=None, modulus=None):
     test, so the subset walk cuts branches that cannot reach that count.
     Returns an exact integer for the unit weight, a residue otherwise.
     """
-    if job.mode != "pairs":
-        raise ValueError("job mode must be 'pairs'")
     params = job.params
     top = params.top_cell
     res_m, res_r = job.residue if job.residue else (0, 0)
@@ -115,47 +103,6 @@ def _pair_walk(n, ps, kcells, need, params, top):
         stack.append((i + 1, d, kd, omega))
         stack.append((i + 1, d * ps[i], kd + kcells[i], omega + 1))
     return total
-
-
-def error_term_triples(job, mu_table):
-    """Sum mu(d2) * mu(d3) over ordered factorizations n = d1*d2*d3 of window
-    elements with d2, d3 <= trunc and all three cell indices summing to at
-    most top_cell. Square-freeness rides on the Mobius table's zeros."""
-    if job.mode != "triples":
-        raise ValueError("job mode must be 'triples'")
-    params = job.params
-    top = params.top_cell
-    trunc = job.trunc
-    total = 0
-    for fn in job.factored():
-        if not fn.complete:
-            raise ValueError(f"incomplete factorization for {fn.n}")
-        for d2, d3 in _split_pairs(fn.factors, trunc):
-            w = mu_table[d2] * mu_table[d3]
-            if w == 0:
-                continue
-            d1 = fn.n // (d2 * d3)
-            ks = (segmentation.cell_index(d1, params)
-                  + segmentation.cell_index(d2, params)
-                  + segmentation.cell_index(d3, params))
-            if ks <= top:
-                total += w
-    return total
-
-
-def _split_pairs(factors, trunc):
-    """All (d2, d3) with d2 * d3 dividing the factored number, both <= trunc."""
-    pairs = [(1, 1)]
-    for p, e in factors:
-        nxt = []
-        for a in range(e + 1):
-            for b in range(e + 1 - a):
-                pa, pb = p ** a, p ** b
-                for d2, d3 in pairs:
-                    if d2 * pa <= trunc and d3 * pb <= trunc:
-                        nxt.append((d2 * pa, d3 * pb))
-        pairs = nxt
-    return pairs
 
 
 def _chunk_ranges(lo, hi, chunk):
@@ -344,34 +291,77 @@ def _small_factor(n):
     return out
 
 
-def triples_correction(params, trunc, mu_table, *, block=1 << 21, window=None):
-    """Pair-major evaluation of the triple error sum: for each square-free
-    (d2, d3) below the truncation, count admissible d1 in one step."""
+# entries per block of the triple correction; a half-B block holds at least
+# one row, one entry per square-free d2 <= trunc
+_TRIPLE_CHUNK = 1 << 15
+
+
+def _triple_split(n_hi, squarefree, trunc):
+    """Split point X of the triple sum. Half A walks about X ln(trunc) pairs
+    (d1, d2) and half B about squarefree * n_hi / X pairs (d2, d3); a pair of
+    half A costs about twice one of half B, and this X balances the two."""
+    return max(1, math.isqrt(int(n_hi * squarefree / (2 * math.log(trunc + 1)))))
+
+
+def triples_correction(params, trunc, mu_table):
+    """Triple error sum: mu(d2) * mu(d3) over d1 * d2 * d3 in (n, n + W] with
+    square-free d2, d3 <= trunc and cell indices summing to at most top_cell.
+
+    Counted in two halves split at d1 * d2 = X. Half A walks the pairs
+    (d1, d2) with d1 * d2 <= X and takes the Mobius mass of the admissible d3
+    from prefix sums. Half B (d1 * d2 > X, so d3 <= (n + W) // (X + 1)) walks
+    the pairs (d3, d2) and counts the admissible d1 in one interval each.
+    """
     n = params.n
-    window = triple_window(params) if window is None else window
-    if window <= 0:
+    n_hi = n + triple_window(params)
+    if n_hi <= n:
         return 0
     top = params.top_cell
-    vals = np.nonzero(mu_table.values[:trunc + 1])[0].astype(np.int64)
-    vals = vals[vals >= 1]
-    signs = mu_table.values[vals].astype(np.int64)
-    kcells = segmentation.cell_index_vec(vals.astype(np.uint64), params).astype(np.int64)
-    total = 0
-    rows = max(1, block // max(1, len(vals)))
+    mu = mu_table.values[:trunc + 1]
+    vals = np.flatnonzero(mu).astype(np.int64)
+    signs = mu[vals].astype(np.int64)
     bounds = params.bounds_np.astype(np.int64)
-    for start in range(0, len(vals), rows):
-        stop = min(start + rows, len(vals))
-        q = vals[start:stop, None] * vals[None, :]
-        kk = kcells[start:stop, None] + kcells[None, :]
-        w = signs[start:stop, None] * signs[None, :]
-        rest = top - kk
-        ok = rest >= 0
-        if not ok.all():
-            q = np.where(ok, q, 1)
-        cap = bounds[np.where(ok, rest + 1, 0)] - 1
-        upper = np.minimum((n + window) // q, cap)
-        lower = n // q
-        cnt = np.maximum(upper - lower, 0)
-        cnt = np.where(ok, cnt, 0)
-        total += int(np.sum(w * cnt))
+    kcells = np.searchsorted(bounds, vals, side="right") - 1
+    x = min(_triple_split(n_hi, len(vals), trunc), n_hi)
+    # cap[pad + r] = cell_top(r), the largest cofactor a cell budget r
+    # admits (0 when r < 0); d1 <= n + W has cell <= top + 2 and d2, d3 <=
+    # trunc have cell <= kcells[-1], so no budget below falls under -pad
+    pad = top + 2 + 2 * int(kcells[-1])
+    cap = np.concatenate([np.zeros(pad, dtype=np.int64), bounds[1:top + 2] - 1])
+    total = 0
+
+    # half A, d1 by row. Pairs with d1 * d2 * trunc <= n leave no d3 <= trunc
+    # and are skipped; the rest have lo < trunc and hi <= n_hi // (n // trunc
+    # + 1), so the prefix sums, held flat past trunc, need no clamp
+    prefix = np.cumsum(mu, dtype=np.int64)
+    flat = n_hi // (n // trunc + 1) - trunc + 1
+    prefix = np.concatenate([prefix, np.full(max(flat, 0), prefix[-1])])
+    d1_lo = 1
+    while d1_lo <= x:
+        # rows shorten as d1 grows: size the block by its first row
+        longest = int(np.searchsorted(vals, x // d1_lo, side="right"))
+        width = max(1, _TRIPLE_CHUNK // longest)
+        d1 = np.arange(d1_lo, min(d1_lo + width, x + 1), dtype=np.int64)
+        d1_lo += width
+        first = np.searchsorted(vals, n // (trunc * d1), side="right")
+        cols = np.maximum(np.searchsorted(vals, x // d1, side="right") - first, 0)
+        ends = np.cumsum(cols)
+        j = np.arange(int(ends[-1])) + np.repeat(first + cols - ends, cols)
+        m = np.repeat(d1, cols) * vals[j]
+        lo = n // m
+        k1 = np.searchsorted(bounds, d1, side="right") - 1
+        budget = np.repeat(pad + top - k1, cols) - kcells[j]
+        hi = np.maximum(np.minimum(n_hi // m, cap[budget]), lo)
+        total += int(np.dot(signs[j], prefix[hi] - prefix[lo]))
+
+    # half B, d3 by row: d1 > X // d2
+    d3_count = int(np.searchsorted(vals, n_hi // (x + 1), side="right"))
+    floor_x = x // vals
+    rows = max(1, _TRIPLE_CHUNK // len(vals))
+    for a in range(0, d3_count, rows):
+        b = min(a + rows, d3_count)
+        q = vals[a:b, None] * vals
+        upper = np.minimum(n_hi // q, cap[(pad + top - kcells[a:b, None]) - kcells])
+        lower = np.maximum(n // q, floor_x)
+        total += int(signs[a:b] @ (np.maximum(upper - lower, 0) @ signs))
     return total

@@ -397,3 +397,23 @@ def test_criterion_9_transform_micro_suite(capsys):
         ok &= modmath.crt_combine(modmath.CrtPair(x % p1, p1, x % p2, p2)) == x
     dt = time.perf_counter() - t0
     _report(capsys, 9, "transform/CRT micro-suite", ok, f"{dt:.0f}s")
+
+
+def test_criterion_10_mertens_scaling_slope(capsys):
+    t0 = time.perf_counter()
+    rows = []
+    for n in (10 ** 8, 10 ** 9, 10 ** 10):
+        t1 = time.perf_counter()
+        value = primeconv.mertens(n)
+        rows.append((n, value, time.perf_counter() - t1))
+    # OEIS A084237
+    assert [v for _, v, _ in rows] == [1928, -222, -33722]
+    xs = [math.log(n) for n, _, _ in rows]
+    ys = [math.log(t) for _, _, t in rows]
+    xm, ym = sum(xs) / 3, sum(ys) / 3
+    slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+             / sum((x - xm) ** 2 for x in xs))
+    dt = time.perf_counter() - t0
+    times = ", ".join(f"{n:.0e}:{t:.1f}s" for n, _, t in rows)
+    _report(capsys, 10, "mertens runtime slope over 1e8..1e10", slope <= 0.9,
+            f"slope {slope:.3f}, hard bound 0.9; {times}; {dt:.0f}s")

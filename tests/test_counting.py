@@ -123,6 +123,20 @@ def test_mertens_multi_examples():
         primeconv.mertens_multi([200], 10)
 
 
+def test_mertens_multi_many_thresholds():
+    # thresholds far below trunc^2 reach the triple split with trunc >> sqrt(n)
+    rng = random.Random(8)
+    ns = [rng.randrange(10 ** 4 + 1, 10 ** 6 + 1) for _ in range(20)]
+    got = [b.value for b in primeconv.mertens_multi(ns, 1000)]
+    assert got == oracles.mertens_naive(max(ns), ns)
+
+
+def test_mertens_published_values():
+    # OEIS A084237
+    assert primeconv.mertens(10 ** 8) == 1928
+    assert primeconv.mertens(10 ** 9) == -222
+
+
 def test_count_squarefree_examples_and_consistency():
     assert primeconv.count_squarefree(1) == 1
     assert primeconv.count_squarefree(0) == 0

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from primeconv import error_correction as ec
-from primeconv import modmath, oracles, segmentation as seg, sieve
+from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 
 P1, P2 = modmath.DEFAULT_MODULI
 
@@ -16,8 +18,9 @@ def test_empty_window_gives_zero():
     assert ec.pairs_correction(params, math.isqrt(1000)) == 0
     job = ec.pairs_job(params, math.isqrt(1000))
     assert ec.error_term_pairs(job) == 0
-    tjob = ec.triples_job(params, 31, window=0)
-    assert ec.error_term_triples(tjob, sieve.mu_up_to(31)) == 0
+    assert ec.triple_window(params) == 0
+    assert ec.triples_correction(params, 31, sieve.mu_up_to(31)) == 0
+    assert oracles.error_term_naive_triples(1000, Fraction(1, 20000), 31) == 0
 
 
 def test_pairs_against_exhaustive_oracle():
@@ -152,8 +155,6 @@ def test_triples_against_exhaustive_oracle():
     params = seg.make_params(n, delta)
     mu = sieve.mu_up_to(trunc)
     expect = oracles.error_term_naive_triples(n, delta, trunc)
-    job = ec.triples_job(params, trunc)
-    assert ec.error_term_triples(job, mu) == expect
     assert ec.triples_correction(params, trunc, mu) == expect
 
 
@@ -166,8 +167,39 @@ def test_triples_random_configs_and_fast_agreement():
         params = seg.make_params(n, delta)
         mu = sieve.mu_up_to(max(trunc, 1))
         expect = oracles.error_term_naive_triples(n, delta, trunc)
-        assert ec.error_term_triples(ec.triples_job(params, trunc), mu) == expect
         assert ec.triples_correction(params, trunc, mu) == expect, (n, delta)
+
+
+@pytest.mark.parametrize("split", [1, 7, 10 ** 3, 10 ** 6])
+def test_triples_forced_split_matches_oracle(monkeypatch, split):
+    # the two halves meet at d1 * d2 = X: any X gives the same sum, from
+    # X = 1 (half B alone) to X past n + W (half A alone)
+    monkeypatch.setattr(ec, "_triple_split", lambda *args: split)
+    rng = random.Random(split)
+    for _ in range(6):
+        n = rng.randrange(100, 1500)
+        delta = Fraction(1, rng.randrange(4 * n.bit_length(), 200))
+        root = math.isqrt(n) + 1
+        trunc = rng.choice([root, rng.randrange(root, n), 4 * n])
+        params = seg.make_params(n, delta)
+        mu = sieve.mu_up_to(trunc)
+        expect = oracles.error_term_naive_triples(n, delta, trunc)
+        assert ec.triples_correction(params, trunc, mu) == expect, (n, delta, trunc)
+
+
+def test_triples_memory_stays_chunked():
+    # the d2 = 1 row of half A alone is X (about 10^6) entries long at 1e9
+    n = 10 ** 9
+    trunc = math.isqrt(n) + 1
+    params = seg.make_params(n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
+    mu = sieve.mu_up_to(trunc)
+    tracemalloc.start()
+    try:
+        ec.triples_correction(params, trunc, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
 
 
 def test_triples_identity_with_dirichlet_reference():
@@ -203,13 +235,17 @@ def test_triple_window_cell_band():
     n, delta = 600, Fraction(1, 40)
     params = seg.make_params(n, delta)
     win = ec.triple_window(params)
-    for fn in sieve.factorize_interval(n, n + win):
-        kn = seg.cell_index(fn.n, params)
-        for d2, d3 in ec._split_pairs(fn.factors, fn.n):
-            d1 = fn.n // (d2 * d3)
-            ks = (seg.cell_index(d1, params) + seg.cell_index(d2, params)
-                  + seg.cell_index(d3, params))
-            assert kn - 2 <= ks <= kn
+    for m in range(n + 1, n + win + 1):
+        kn = seg.cell_index(m, params)
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for d2 in divisors:
+            for d3 in divisors:
+                if (m // d2) % d3:
+                    continue
+                d1 = m // (d2 * d3)
+                ks = (seg.cell_index(d1, params) + seg.cell_index(d2, params)
+                      + seg.cell_index(d3, params))
+                assert kn - 2 <= ks <= kn
 
 
 def test_triples_symmetry_of_oracle():
