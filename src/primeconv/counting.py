@@ -202,29 +202,13 @@ def _lagrange_prefix(xs, ell, modulus):
 def _odd_prime_power_generator(q, e):
     mod = q ** e
     phi = (q - 1) * q ** (e - 1)
-    fac = _factor_small(phi)
+    fac = modmath.factorize(phi)
     g = 2
     while True:
         if math.gcd(g, mod) == 1 and all(
                 pow(g, phi // f, mod) != 1 for f, _ in fac):
             return g
         g += 1
-
-
-def _factor_small(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 class _UnitGroup:
@@ -235,7 +219,7 @@ class _UnitGroup:
             raise ValueError("unit group needs m >= 2")
         self.m = m
         comps = []  # (generator lifted mod m, component order)
-        for q, e in _factor_small(m):
+        for q, e in modmath.factorize(m):
             qe = q ** e
             if q == 2:
                 if e == 2:
@@ -283,7 +267,7 @@ def _character_weights(m, moduli):
         tables = {}
         prefixes = {}
         for p in moduli:
-            g = modmath._PRIMITIVE_ROOTS.get(p) or modmath._find_primitive_root(p)
+            g = modmath.primitive_root(p)
             roots = [pow(g, (p - 1) // o, p) for o in orders]
             tab = np.zeros(m, dtype=np.uint64)
             for n, dg in group.digits.items():
@@ -355,6 +339,7 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
     timings["primes"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     moduli = config.modulus_pair()
+    weight = weight or MultiplicativeWeight.unit()
     weights = char_weights if char_weights is not None else [weight]
     celltops = _celltops_desc(params)
     threads = config.resolved_threads()
@@ -362,14 +347,9 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
     def one_modulus(p):
         rows = []
         for w in weights:
-            engine_w = None if (w is None or w.is_unit) else w
-            mob = smooth_mobius.smooth_mobius_cells(primes, params, p,
-                                                    weight=engine_w)
-            if w is None or w.is_unit:
-                wmod = celltops % np.uint64(p)
-            else:
-                wmod = w.prefix_vec(celltops, p)
-            rows.append(_prefix_dot(mob, wmod, p))
+            mob = smooth_mobius.smooth_mobius_cells(
+                primes, params, p, weight=None if w.is_unit else w)
+            rows.append(_prefix_dot(mob, w.prefix_vec(celltops, p), p))
         return rows
 
     approx = _map_ordered(one_modulus, list(moduli), threads)
@@ -377,7 +357,7 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
     t0 = time.perf_counter()
     if skip_correction:
         corr = None
-    elif char_weights is not None or weight is None or weight.is_unit:
+    elif char_weights is not None or weight.is_unit:
         corr = error_correction.pairs_correction(
             params, bound, residue=residue, chunk_size=config.chunk_size)
     else:
@@ -488,7 +468,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
                             {"sieve": time.perf_counter() - t0},
                             {"modulus": modulus, "residue": residue})
     phi_m = 1
-    for q, e in _factor_small(modulus):
+    for q, e in modmath.factorize(modulus):
         phi_m *= (q - 1) * q ** (e - 1)
     pair = _select_moduli(phi_m, config)
     # the character transforms do not depend on the residue; cache them so

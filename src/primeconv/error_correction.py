@@ -2,107 +2,27 @@
 
 Array convolution over log-scale cells credits some products d1*d2 (or
 d1*d2*d3) just past the target bound as if they were inside it. Every such
-product lies in a short window (n, n+S]. The pair sum is computed
+product lies in a short window (n, n+S].
 
-* by a per-integer depth-first walk over the square-free smooth divisors of
-  each factored window element, pruned to divisors with enough prime factors
-  to matter (taken for tiny windows), or
-* by a divisor-major aggregation that, for each admissible divisor, counts
-  the cofactors inside an interval directly from the cell-boundary table.
-
-The triple sum (Mertens) is counted in two halves split on d1*d2, with one
-interval count per pair in each: see triples_correction.
+The pair sum is aggregated divisor-major (see pairs_correction): each
+admissible square-free smooth divisor d2 up to a split point contributes a
+count of its cofactors inside an interval, read off the cell-boundary table;
+larger d2 are reached as m/d1 for small cofactors d1 through stride slices of
+the screened window. The triple sum (Mertens) is counted in two halves split
+on d1*d2, with one interval count per pair in each: see triples_correction.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import segmentation, sieve
 
 
-@dataclass
-class CorrectionJob:
-    """Window description for one correction run.
-
-    interval holds the complete factorizations of (lo, hi] and is built
-    lazily; residue restricts to window elements congruent to r mod m.
-    """
-    params: segmentation.SegParams
-    lo: int
-    hi: int
-    bound: int
-    residue: tuple | None = None
-    interval: list | None = field(default=None, repr=False)
-
-    def factored(self):
-        if self.interval is None:
-            self.interval = sieve.factorize_interval(self.lo, self.hi)
-        return self.interval
-
-
-def pairs_job(params, bound, *, residue=None, window=None):
-    if window is None:
-        window = params.window
-        if window is None:
-            window = segmentation.error_window_size(params)
-    return CorrectionJob(params=params, lo=params.n, hi=params.n + window,
-                         bound=bound, residue=residue)
-
-
 def triple_window(params):
     """Window length for triple corrections: only cell indices within two of
     the top cell can host a contributing triple."""
     return max(0, params.cell_top(params.top_cell + 2) - params.n)
-
-
-def error_term_pairs(job, weight=None, modulus=None):
-    """Walk every window element's square-free smooth divisors and sum the
-    misattributed mass: h(n) * (-1)^omega(d) over divisors d with
-    p_max(d) <= bound and cell(n/d) + factored_cell(d) <= top_cell.
-
-    Only divisors with omega(d) >= cell(n) - top_cell - 1 can satisfy the
-    test, so the subset walk cuts branches that cannot reach that count.
-    Returns an exact integer for the unit weight, a residue otherwise.
-    """
-    params = job.params
-    top = params.top_cell
-    res_m, res_r = job.residue if job.residue else (0, 0)
-    total = 0
-    for fn in job.factored():
-        if not fn.complete:
-            raise ValueError(f"incomplete factorization for {fn.n}")
-        n = fn.n
-        if res_m and n % res_m != res_r:
-            continue
-        ps = [p for p, _ in fn.factors if p <= job.bound]
-        need = segmentation.cell_index(n, params) - top - 1
-        if len(ps) < need:
-            continue
-        kcells = [segmentation.cell_index(p, params) for p in ps]
-        hn = 1 if weight is None else weight.value_at(n, modulus)
-        total += hn * _pair_walk(n, ps, kcells, need, params, top)
-        if modulus is not None:
-            total %= modulus
-    return total % modulus if modulus is not None else total
-
-
-def _pair_walk(n, ps, kcells, need, params, top):
-    total = 0
-    count = len(ps)
-    stack = [(0, 1, 0, 0)]  # (next prime index, divisor, its cell sum, omega)
-    while stack:
-        i, d, kd, omega = stack.pop()
-        if omega + (count - i) < need:
-            continue  # even taking every remaining prime cannot qualify
-        if i == count:
-            if segmentation.cell_index(n // d, params) + kd <= top:
-                total += 1 if omega % 2 == 0 else -1
-            continue
-        stack.append((i + 1, d, kd, omega))
-        stack.append((i + 1, d * ps[i], kd + kcells[i], omega + 1))
-    return total
 
 
 def _chunk_ranges(lo, hi, chunk):
@@ -147,30 +67,27 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                      chunk_size=None, window=None):
     """Divisor-major evaluation of the pair error sum.
 
-    Splits on the divisor value: divisors up to the window length come from a
-    screen of (0, S] and each contributes a cofactor-interval count in O(1);
-    larger divisors are n/d1 for small d1 and come from stride slices of the
-    screened window itself. Unit weight returns an exact int; with `weight`
-    returns one residue per modulus in `moduli`; `residue` restricts products
-    to r mod m and returns an exact int.
+    Splits on the divisor value at cap_x = max(S, (n + S) // bound): divisors
+    d2 <= cap_x come from a screen of (0, cap_x] and each contributes a
+    cofactor-interval count in O(1); larger divisors are m/d1 for cofactors
+    d1 <= (n + S) // (cap_x + 1) < bound and come from stride slices of the
+    screened window itself. Such d1 have no prime factor above the bound, so
+    m/d1 is bound-smooth exactly when m is, and no pair is lost. Unit weight
+    returns an exact int; with `weight` returns one residue per modulus in
+    `moduli`; `residue` restricts products to r mod m and returns an exact
+    int.
     """
     n = params.n
     window = params.window if window is None else window
     if window is None:
         window = segmentation.error_window_size(params)
+    acc = _Accumulator(moduli if weight is not None else None)
     if window <= 0:
-        return _Accumulator(moduli if weight is not None else None).result()
-    if window <= (1 << 11) or (n + window) // (window + 1) > (1 << 13):
-        # tiny window: the factored divisor walk costs less than screening
-        job = pairs_job(params, bound, residue=residue, window=window)
-        if weight is None:
-            return error_term_pairs(job)
-        return tuple(error_term_pairs(job, weight, p) for p in moduli)
+        return acc.result()
     top = params.top_cell
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
-    acc = _Accumulator(moduli if weight is not None else None)
-    cap_x = window
+    cap_x = max(window, (n + window) // bound)
     d1_max = (n + window) // (cap_x + 1)
     chunk = _auto_chunk(window, chunk_size)
     res_m, res_r = residue if residue else (0, 0)
@@ -213,21 +130,20 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                         - weight.prefix_vec(lower.astype(np.uint64), p)) % np.uint64(p)
                 residues.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))) % p)
             acc.add_residues(residues)
-    # large divisors: stride over the window for each small cofactor d1
-    d1_info = []
-    for d1 in range(1, d1_max + 1):
-        if res_m and math.gcd(d1, res_m) != 1:
-            continue
-        kb1 = segmentation.cell_index(d1, params)
-        if kb1 > top:
-            continue
-        fac = _small_factor(d1)
-        kd1 = segmentation.factored_cell_index(fac, params)
-        d1_info.append((d1, kb1, kd1, fac))
+    # large divisors: stride over the window for each small cofactor d1;
+    # d1 < bound, so its screen row is complete
+    d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
+    _, kd1s, sd1s, _, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
+    kb1s = segmentation.cell_index_vec(d1s, params)
+    keep = kb1s <= top
+    if res_m:
+        keep &= np.gcd(d1s, np.uint64(res_m)) == 1
+    d1_info = list(zip(d1s[keep].tolist(), kb1s[keep].tolist(),
+                       kd1s[keep].tolist(), sd1s[keep].tolist()))
     for lo, hi in _chunk_ranges(n, n + window, chunk):
         smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
             lo, hi, primes, pcells, want_excess=True)
-        for d1, kb1, kd1, fac in d1_info:
+        for d1, kb1, kd1, s1 in d1_info:
             low = max(lo, d1 * (cap_x + 1) - 1)
             first = (low // d1 + 1) * d1
             if first > hi:
@@ -248,10 +164,10 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
             if not good.any():
                 continue
             nv = nv[good]
-            sg = sign[sl][pos][good].astype(np.int64)
-            for p, e in fac:
-                pe1 = p ** (e + 1)
-                sg = np.where(nv % pe1 != 0, -sg, sg)
+            # the primes of m are those of d1 and of the square-free m/d1,
+            # so mu(m/d1) = sign(m) * sign(d1) * sign(gcd(d1, m/d1))
+            sg = sign[sl][pos][good].astype(np.int64) * s1
+            sg *= sd1s[np.gcd(nv // d1, d1) - 1]
             if weight is None:
                 acc.add_exact(int(np.sum(sg)))
             else:
@@ -273,22 +189,6 @@ def _inverse_table(m):
         if math.gcd(x, m) == 1:
             inv[x] = pow(x, -1, m)
     return inv
-
-
-def _small_factor(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # entries per block of the triple correction; a half-B block holds at least

@@ -20,9 +20,35 @@ _PRIMITIVE_ROOTS = {2013265921: 31, 2281701377: 3, 3221225473: 5}
 DEFAULT_MODULI = (2013265921, 2281701377)
 
 
-def mod_inverse(a, m):
-    """Inverse of a modulo m; raises ValueError if gcd(a, m) != 1."""
-    return pow(a, -1, m)
+def factorize(n):
+    """Prime factorization [(p, e), ...] of n >= 1, primes ascending, by trial
+    division: meant for arguments up to about 2^32."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def primitive_root(p):
+    """A primitive root of the prime p: the known one for the pool primes,
+    else the smallest."""
+    g = _PRIMITIVE_ROOTS.get(p)
+    if g is not None:
+        return g
+    fac = factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q, _ in fac):
+        g += 1
+    return g
 
 
 def _bit_reversal(length):
@@ -96,32 +122,11 @@ def get_context(modulus, length):
     key = (modulus, length)
     ctx = _context_cache.get(key)
     if ctx is None:
-        g = _PRIMITIVE_ROOTS.get(modulus)
-        if g is None:
-            g = _find_primitive_root(modulus)
+        g = primitive_root(modulus)
         root = pow(g, (modulus - 1) // length, modulus)
         ctx = NttContext(modulus, length, root)
         _context_cache[key] = ctx
     return ctx
-
-
-def _find_primitive_root(p):
-    # factor p-1 by trial division (only used for non-pool moduli)
-    n, fac = p - 1, []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-        g += 1
 
 
 def _transform(values, ctx, tables):

@@ -238,22 +238,28 @@ def _pairs_scan_top(n, delta):
     return max(n + 1, stop)
 
 
-def error_term_naive_pairs(n, delta, bound=None):
-    """Exhaustive pair enumeration: sum of mu(d2) over all d1 * d2 > n with
-    cell(d1) + cell_additive(d2) <= cell(n), d2 square-free and smooth."""
+def error_term_naive_pairs(n, delta, bound=None, *, h=None, residue=None):
+    """Exhaustive pair enumeration: sum of h(m) * mu(d2) over all
+    m = d1 * d2 > n with cell(d1) + cell_additive(d2) <= cell(n), d2
+    square-free and smooth. h is a callable on the product m (default 1);
+    residue = (mod, r) keeps only products m = r (mod mod)."""
     cells = OracleCells(delta)
     top = cells.cell(n)
     bound = math.isqrt(n) if bound is None else bound
     stop = _pairs_scan_top(n, delta)
     total = 0
     for m in range(n + 1, stop + 1):
+        if residue is not None and m % residue[0] != residue[1]:
+            continue
+        count = 0
         for d2 in _divisors(m):
             w = _mu_smooth_value(d2, bound)
             if w == 0:
                 continue
             d1 = m // d2
             if cells.cell(d1) + cells.cell_additive(d2) <= top:
-                total += w
+                count += w
+        total += count if h is None else count * h(m)
     return total
 
 

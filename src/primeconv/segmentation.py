@@ -8,6 +8,7 @@ deterministic, non-decreasing, and never at the mercy of floating point.
 """
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -47,16 +48,11 @@ def _sqrt_chain(bits, count):
     lo = hi = 2 << bits
     chain = []
     for _ in range(count):
-        lo = _isqrt(lo << bits)
-        hi = _isqrt(hi << bits) + 1
+        lo = math.isqrt(lo << bits)
+        hi = math.isqrt(hi << bits) + 1
         chain.append((lo, hi))
     _sqrt_chain_cache[bits] = chain
     return chain
-
-
-def _isqrt(x):
-    import math
-    return math.isqrt(x)
 
 
 def _pow2_frac_bounds(num, den, bits):
@@ -148,7 +144,7 @@ def delta_default(n, scale=1):
     if n < 2:
         raise ValueError("delta_default needs n >= 2")
     l_lo, _ = _log2_bounds(n, _FRAC_BITS)
-    root = _isqrt(n << (2 * _FRAC_BITS))
+    root = math.isqrt(n << (2 * _FRAC_BITS))
     base = (l_lo << _FRAC_BITS) // root
     return Fraction(scale) * Fraction(base, 1 << _FRAC_BITS)
 

@@ -1,20 +1,16 @@
-"""Prime generation, Mobius tabulation and factorization over intervals.
+"""Prime generation, Mobius tabulation and interval screening.
 
-Two levels of service: factorize_interval yields complete per-integer
-factorizations (object level, used by the divisor-walk error correction and by
-tests), while screen_chunk produces the vectorized per-integer summaries
-(smoothness, square-freeness, cell-index sums) that the fast correction path
-consumes without ever materializing factorizations.
+screen_chunk is the one service over intervals: it sieves a stretch of
+integers against the primes up to a bound and returns vectorized per-integer
+summaries (smoothness, square-freeness, sign, cell-index sums), which the pair
+correction consumes without ever materializing factorizations.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import segmentation
-
-_MAX_N = 1 << 62  # word-range guard for interval entries
 
 _prime_cache = np.array([], dtype=np.int64)
 
@@ -66,71 +62,6 @@ def mu_up_to(limit):
         if p * p <= limit:
             mu[p * p::p * p] = 0
     return MuTable(mu, limit)
-
-
-@dataclass(frozen=True)
-class FactoredNumber:
-    """An integer with its complete prime factorization, primes ascending."""
-    n: int
-    factors: tuple
-    complete: bool = True
-
-
-def factorize_interval(lo, hi, prime_budget=None, *, chunk_size=1 << 20):
-    """Complete factorizations for every n in (lo, hi], ascending.
-
-    Sieves with primes up to the budget (default floor(sqrt(hi))); anything
-    left unfactored after that must be a single prime. Processes fixed-size
-    chunks so peak memory is O(chunk + pi(sqrt(hi))).
-    """
-    if lo < 1 or hi < lo:
-        raise ValueError("need hi >= lo >= 1")
-    if hi >= _MAX_N:
-        raise ValueError("interval end exceeds supported word range")
-    if hi == lo:
-        return []
-    budget = math.isqrt(hi) if prime_budget is None else prime_budget
-    if budget < math.isqrt(hi):
-        raise ValueError("prime budget below sqrt of the interval end")
-    primes = [int(p) for p in primes_up_to(budget)]
-    out = []
-    start = lo
-    while start < hi:
-        stop = min(start + chunk_size, hi)
-        out.extend(_factor_chunk(start, stop, primes))
-        start = stop
-    return out
-
-
-def _factor_chunk(lo, hi, primes):
-    size = hi - lo
-    rem = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    hits = [[] for _ in range(size)]
-    for p in primes:
-        if p * p > hi and p > hi:
-            break
-        first = (lo // p + 1) * p
-        if first > hi:
-            continue
-        q, e = p, 1
-        counts = np.zeros(size, dtype=np.int8)
-        while q <= hi:
-            i0 = (lo // q + 1) * q - (lo + 1)
-            counts[i0::q] += 1
-            rem[i0::q] //= p
-            q *= p
-            e += 1
-        for idx in np.nonzero(counts)[0]:
-            hits[idx].append((p, int(counts[idx])))
-    result = []
-    for idx in range(size):
-        n = lo + 1 + idx
-        factors = hits[idx]
-        left = int(rem[idx])
-        if left > 1:
-            factors.append((left, 1))
-        result.append(FactoredNumber(n=n, factors=tuple(factors)))
-    return result
 
 
 def prime_cell_indices(primes, params):

@@ -175,8 +175,16 @@ def test_delta_scale_is_neutral_for_values():
         assert primeconv.count_primes(n, cfg) == base, scale
 
 
+@pytest.mark.slow
+def test_fine_delta_scale_short_window_is_exact():
+    # at scale 1/115 the window (2162) is shorter than sqrt(n), so stride
+    # cofactors up to (n + S) // (S + 1) = 2774 would pass isqrt(n) = 2449
+    cfg = counting.Config(delta_scale=Fraction(1, 115))
+    assert primeconv.count_primes(6 * 10 ** 6, cfg) == 412849
+
+
 def test_shrunk_window_matches_closed_form_window():
-    # at the engine's delta both windows take the screen route
+    # the primorial-bounded window and the closed form give one correction
     for n in (200_000, 10 ** 7):
         delta = counting._pipeline_delta(n, counting.Config())
         params = segmentation.make_params(n, delta, need_window=True)
@@ -232,7 +240,7 @@ def test_character_tables_orthogonal():
     for m in (3, 4, 5, 7, 8, 12, 30):
         pair = counting._select_moduli(
             math.prod((q - 1) * q ** (e - 1)
-                      for q, e in counting._factor_small(m)),
+                      for q, e in modmath.factorize(m)),
             counting.Config())
         chars, group = counting._character_weights(m, pair)
         p = pair[0]

@@ -16,8 +16,7 @@ def test_empty_window_gives_zero():
     params = seg.make_params(1000, Fraction(1, 20000), need_window=True)
     assert params.window == 0
     assert ec.pairs_correction(params, math.isqrt(1000)) == 0
-    job = ec.pairs_job(params, math.isqrt(1000))
-    assert ec.error_term_pairs(job) == 0
+    assert oracles.error_term_naive_pairs(1000, Fraction(1, 20000)) == 0
     assert ec.triple_window(params) == 0
     assert ec.triples_correction(params, 31, sieve.mu_up_to(31)) == 0
     assert oracles.error_term_naive_triples(1000, Fraction(1, 20000), 31) == 0
@@ -27,11 +26,7 @@ def test_pairs_against_exhaustive_oracle():
     n, delta = 1000, Fraction(1, 50)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    expect = oracles.error_term_naive_pairs(n, delta)
-    got_dfs = ec.error_term_pairs(ec.pairs_job(params, bound))
-    got_fast = ec.pairs_correction(params, bound)
-    assert got_dfs == expect
-    assert got_fast == expect
+    assert ec.pairs_correction(params, bound) == oracles.error_term_naive_pairs(n, delta)
 
 
 def test_pairs_against_oracle_random_configs():
@@ -43,8 +38,21 @@ def test_pairs_against_oracle_random_configs():
         params = seg.make_params(n, delta, need_window=True)
         bound = math.isqrt(n)
         expect = oracles.error_term_naive_pairs(n, delta)
-        assert ec.error_term_pairs(ec.pairs_job(params, bound)) == expect
         assert ec.pairs_correction(params, bound) == expect, (n, delta)
+
+
+@pytest.mark.parametrize("n, den", [(32, 41), (850, 262), (942, 306),
+                                    (1255, 199), (2018, 468)])
+def test_pairs_short_window_cofactor_split(n, den):
+    # windows shorter than about sqrt(n): a stride cofactor d1 above isqrt(n)
+    # could carry a prime factor above the bound, so the divisor screen must
+    # reach (n + S) // bound for every pair to be counted
+    delta = Fraction(1, den)
+    params = seg.make_params(n, delta, need_window=True)
+    bound = math.isqrt(n)
+    assert (n + params.window) // (params.window + 1) > bound
+    expect = oracles.error_term_naive_pairs(n, delta)
+    assert ec.pairs_correction(params, bound) == expect
 
 
 def test_pairs_identity_with_dirichlet_reference():
@@ -80,14 +88,15 @@ def test_pairs_identity_with_dirichlet_reference():
 
 
 def test_pair_prune_soundness_exhaustive():
-    # every divisor skipped by the omega prune must fail the cell test
+    # the premise of error_window_size: a square-free divisor with fewer
+    # than cell(m) - top - 1 prime factors fails the cell test
     n, delta = 5000, Fraction(1, 100)
     params = seg.make_params(n, delta, need_window=True)
     top = params.top_cell
     bound = math.isqrt(n)
-    for fn in sieve.factorize_interval(n, n + params.window):
-        ps = [p for p, _ in fn.factors if p <= bound]
-        need = seg.cell_index(fn.n, params) - top - 1
+    for m in range(n + 1, n + params.window + 1):
+        ps = [p for p, _ in oracles.factor_naive(m) if p <= bound]
+        need = seg.cell_index(m, params) - top - 1
         for mask in range(1 << len(ps)):
             omega = bin(mask).count("1")
             d = 1
@@ -96,9 +105,9 @@ def test_pair_prune_soundness_exhaustive():
                 if mask >> i & 1:
                     d *= p
                     kd += seg.cell_index(p, params)
-            passes = seg.cell_index(fn.n // d, params) + kd <= top
+            passes = seg.cell_index(m // d, params) + kd <= top
             if omega < need:
-                assert not passes, (fn.n, d)
+                assert not passes, (m, d)
 
 
 def test_pairs_deterministic_across_chunking():
@@ -116,8 +125,6 @@ def test_pairs_weighted_and_residue_modes():
     bound = math.isqrt(n)
 
     class WeightN:
-        is_unit = False
-
         def value_at(self, x, p):
             return x % p
 
@@ -131,22 +138,13 @@ def test_pairs_weighted_and_residue_modes():
             return x * x1 % np.uint64(p) * half % np.uint64(p)
 
     got = ec.pairs_correction(params, bound, weight=WeightN(), moduli=[P1, P2])
-    # slow reference: n-major walk accumulating h(n) terms
-    expect = [0, 0]
-    for fn in sieve.factorize_interval(n, n + params.window):
-        ps = [p for p, _ in fn.factors if p <= bound]
-        cells = [seg.cell_index(p, params) for p in ps]
-        need = seg.cell_index(fn.n, params) - params.top_cell - 1
-        t = ec._pair_walk(fn.n, ps, cells, need, params, params.top_cell)
-        expect[0] += t * fn.n
-        expect[1] += t * fn.n
-    assert got == (expect[0] % P1, expect[1] % P2)
+    expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
+    assert got == (expect % P1, expect % P2)
 
-    # residue mode equals filtering the walk by n mod m
-    m, r = 4, 3
-    got = ec.pairs_correction(params, bound, residue=(m, r))
-    exp = ec.error_term_pairs(ec.pairs_job(params, bound, residue=(m, r)))
-    assert got == exp
+    # residue mode keeps only the products congruent to r mod m
+    for m, r in ((4, 3), (3, 1), (30, 7)):
+        got = ec.pairs_correction(params, bound, residue=(m, r))
+        assert got == oracles.error_term_naive_pairs(n, delta, residue=(m, r))
 
 
 def test_triples_against_exhaustive_oracle():
@@ -253,15 +251,3 @@ def test_triples_symmetry_of_oracle():
     val = oracles.error_term_naive_triples(300, Fraction(1, 40), 17)
     # swapping d2/d3 is a relabeling of the same sum; value is an integer
     assert isinstance(val, int)
-
-
-def test_incomplete_factorization_rejected():
-    params = seg.make_params(1000, Fraction(1, 60), need_window=True)
-    job = ec.pairs_job(params, 31)
-    job.interval = [sieve.FactoredNumber(n=1001, factors=((7, 1),),
-                                         complete=False)]
-    try:
-        ec.error_term_pairs(job)
-        assert False, "expected a ValueError"
-    except ValueError:
-        pass

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from primeconv import modmath
+from primeconv import modmath, oracles
 
 
 def is_probable_prime(n):
@@ -52,6 +52,17 @@ def test_primitive_roots_have_full_order():
         if m > 1:
             fac.append(m)
         assert all(pow(g, n // q, p) != 1 for q in fac)
+
+
+def test_factorize_and_root_search_off_the_pool():
+    for n in range(1, 3000):
+        assert modmath.factorize(n) == oracles.factor_naive(n)
+    # outside the pool the root is searched: 3 is the smallest for both
+    for p in (7, 998244353):
+        g = modmath.primitive_root(p)
+        assert g == 3
+        assert all(pow(g, (p - 1) // q, p) != 1
+                   for q, _ in oracles.factor_naive(p - 1))
 
 
 def test_context_invariants():

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from primeconv import segmentation as seg
 from primeconv import sieve
 
@@ -72,60 +70,21 @@ def test_mu_table_examples():
         assert big[n] == expect
 
 
-def test_factorize_interval_examples():
-    fns = sieve.factorize_interval(100, 110)
-    by_n = {fn.n: fn for fn in fns}
-    assert sorted(by_n) == list(range(101, 111))
-    assert by_n[105].factors == ((3, 1), (5, 1), (7, 1))
-    assert sieve.factorize_interval(50, 50) == []
-    with pytest.raises(ValueError):
-        sieve.factorize_interval(10, 5)
-    with pytest.raises(ValueError):
-        sieve.factorize_interval(1, 1 << 63)
-    with pytest.raises(ValueError):
-        sieve.factorize_interval(100, 110, prime_budget=5)
-
-
-def test_factorize_interval_products_near_1e9():
-    rng = random.Random(17)
-    for _ in range(3):
-        lo = rng.randrange(10 ** 9, 2 * 10 ** 9)
-        for fn in sieve.factorize_interval(lo, lo + 400):
-            prod = 1
-            for p, e in fn.factors:
-                prod *= p ** e
-            assert prod == fn.n and fn.complete
-            assert list(fn.factors) == sorted(fn.factors)
-
-
-def test_factorize_interval_agrees_with_trial_division():
-    fns = sieve.factorize_interval(1, 10 ** 5, chunk_size=2 ** 14)
-    assert len(fns) == 10 ** 5 - 1
-    for fn in fns[:: 13]:
-        assert fn.factors == tuple(trial_factor(fn.n))
-    # primes are exactly the single-factor exponent-1 entries
-    primes = {fn.n for fn in fns if fn.factors == ((fn.n, 1),)}
-    assert primes == set(int(p) for p in sieve.primes_up_to(10 ** 5))
-
-
 def test_mu_matches_factorizations():
     mu = sieve.mu_up_to(10 ** 5)
-    fns = sieve.factorize_interval(1, 10 ** 5)
-    for fn in fns[:: 211]:
-        sq = all(e == 1 for _, e in fn.factors)
-        expect = (-1) ** len(fn.factors) if sq else 0
-        assert mu[fn.n] == expect
+    for n in range(1, 10 ** 5, 211):
+        fac = trial_factor(n)
+        sq = all(e == 1 for _, e in fac)
+        expect = (-1) ** len(fac) if sq else 0
+        assert mu[n] == expect
 
 
-def test_screen_chunk_summaries():
-    params = seg.make_params(10 ** 4, Fraction(1, 40))
-    bound = 100
+def _check_screen(params, bound, lo, hi, step):
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
-    lo, hi = 5000, 6000
     smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
         lo, hi, primes, pcells, want_excess=True)
-    for idx in range(0, hi - lo, 7):
+    for idx in range(0, hi - lo, step):
         n = lo + 1 + idx
         fac = trial_factor(n)
         is_smooth = all(p <= bound for p, _ in fac)
@@ -139,3 +98,15 @@ def test_screen_chunk_summaries():
         assert excess[idx] == exp_excess
         if is_smooth:
             assert kh[idx] == seg.factored_cell_index(fac, params)
+
+
+def test_screen_chunk_summaries():
+    _check_screen(seg.make_params(10 ** 4, Fraction(1, 40)), 100, 5000, 6000, 7)
+
+
+def test_screen_chunk_above_32_bits():
+    # entries past 2^32 take the uint64 path; a bound of 2^16 leaves 32 of
+    # the 120 sampled entries smooth, so the cell sums are checked too
+    lo = (1 << 32) + 1000
+    _check_screen(seg.make_params(1 << 33, Fraction(1, 40)), 1 << 16,
+                  lo, lo + 600, 5)
