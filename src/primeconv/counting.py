@@ -11,7 +11,6 @@ oracles, which are exact by construction.
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -317,14 +316,7 @@ def _celltops_desc(params):
     return params.bounds_np[1:top + 2][::-1] - 1
 
 
-def _map_ordered(fn, items, threads):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
+def _pi_pipeline(n, config, weight=None, char_weights=None,
                  skip_correction=False):
     """Shared core: returns (per-modulus approx sums, window term, params,
     primes, timings). char_weights runs several weights over shared params."""
@@ -352,18 +344,18 @@ def _pi_pipeline(n, config, weight=None, char_weights=None, residue=None,
             rows.append(_prefix_dot(mob, w.prefix_vec(celltops, p), p))
         return rows
 
-    approx = _map_ordered(one_modulus, list(moduli), threads)
+    approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
     timings["convolution"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     if skip_correction:
         corr = None
-    elif char_weights is not None or weight.is_unit:
+    elif weight.is_unit:
         corr = error_correction.pairs_correction(
-            params, bound, residue=residue, chunk_size=config.chunk_size)
+            params, bound, chunk_size=config.chunk_size, threads=threads)
     else:
         corr = error_correction.pairs_correction(
             params, bound, weight=weight, moduli=moduli,
-            chunk_size=config.chunk_size)
+            chunk_size=config.chunk_size, threads=threads)
     timings["correction"] = time.perf_counter() - t0
     return approx, corr, params, primes, moduli, timings
 
@@ -491,7 +483,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     t0 = time.perf_counter()
     corr = error_correction.pairs_correction(
         params, math.isqrt(n), residue=(modulus, residue),
-        chunk_size=config.chunk_size)
+        chunk_size=config.chunk_size, threads=config.resolved_threads())
     timings["correction"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     r_inv = pow(residue, -1, modulus)

@@ -13,6 +13,7 @@ on d1*d2, with one interval count per pair in each: see triples_correction.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,6 +40,15 @@ def _auto_chunk(total, chunk_size):
     return max(1 << 20, (total >> 3) + 1)
 
 
+def map_ordered(fn, items, threads):
+    """[fn(item) for item in items], run on up to `threads` worker threads.
+    No pool starts for one thread or one item."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
+            return list(ex.map(fn, items))
+    return [fn(it) for it in items]
+
+
 class _Accumulator:
     """Exact or per-modulus accumulation of correction terms."""
 
@@ -57,6 +67,12 @@ class _Accumulator:
         for i, (p, v) in enumerate(zip(self.moduli, residues)):
             self.totals[i] = (self.totals[i] + v) % p
 
+    def merge(self, other):
+        if self.moduli:
+            self.add_residues(other.totals)
+        else:
+            self.totals[0] += other.totals[0]
+
     def result(self):
         if self.moduli:
             return tuple(t % p for t, p in zip(self.totals, self.moduli))
@@ -64,7 +80,7 @@ class _Accumulator:
 
 
 def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
-                     chunk_size=None, window=None):
+                     chunk_size=None, window=None, threads=1):
     """Divisor-major evaluation of the pair error sum.
 
     Splits on the divisor value at cap_x = max(S, (n + S) // bound): divisors
@@ -76,14 +92,20 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
     returns an exact int; with `weight` returns one residue per modulus in
     `moduli`; `residue` restricts products to r mod m and returns an exact
     int.
+
+    Each chunk of (0, cap_x] and of (n, n + S] is one job with its own
+    partial sum. When a range spans more than one chunk, the jobs run on up
+    to `threads` worker threads, one chunk in memory per worker; the partials
+    are summed in chunk order.
     """
     n = params.n
     window = params.window if window is None else window
     if window is None:
         window = segmentation.error_window_size(params)
-    acc = _Accumulator(moduli if weight is not None else None)
+    acc_moduli = moduli if weight is not None else None
+    total = _Accumulator(acc_moduli)
     if window <= 0:
-        return acc.result()
+        return total.result()
     top = params.top_cell
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
@@ -93,28 +115,27 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
     res_m, res_r = residue if residue else (0, 0)
     if res_m:
         inv_table = _inverse_table(res_m)
-    for lo, hi in _chunk_ranges(0, cap_x, chunk):
+
+    def divisor_job(lo, hi):
+        acc = _Accumulator(acc_moduli)
         smooth, kh, sign, sqfree, _ = sieve.screen_chunk(lo, hi, primes, pcells)
-        ok = smooth & sqfree
-        d2 = np.arange(lo + 1, hi + 1, dtype=np.int64)[ok]
-        if len(d2) == 0:
-            continue
-        khs = kh[ok].astype(np.int64)
-        sg = sign[ok].astype(np.int64)
-        keep = khs <= top
-        d2, khs, sg = d2[keep], khs[keep], sg[keep]
-        cap = params.bounds_np[(top - khs) + 1].astype(np.int64) - 1
+        idx = np.flatnonzero(smooth & sqfree & (kh <= top))
+        d2 = idx + (lo + 1)
+        cap = params.bounds_np[(top - kh[idx]) + 1].astype(np.int64) - 1
         upper = np.minimum((n + window) // d2, cap)
         lower = n // d2
         live = upper > lower
-        d2, sg, upper, lower = d2[live], sg[live], upper[live], lower[live]
+        d2, upper, lower = d2[live], upper[live], lower[live]
         if len(d2) == 0:
-            continue
+            return acc
+        sg = sign[idx[live]].astype(np.int64)
+        # free the screen before the per-modulus sums: another worker may
+        # hold a chunk at the same time
+        del smooth, kh, sign, sqfree, idx
         if weight is None and not res_m:
             acc.add_exact(int(np.sum(sg * (upper - lower))))
         elif res_m:
-            dm = d2 % res_m
-            inv = inv_table[dm]
+            inv = inv_table[d2 % res_m]
             good = inv >= 0
             t = (res_r * inv[good]) % res_m
             up, lw = upper[good], lower[good]
@@ -130,6 +151,8 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                         - weight.prefix_vec(lower.astype(np.uint64), p)) % np.uint64(p)
                 residues.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))) % p)
             acc.add_residues(residues)
+        return acc
+
     # large divisors: stride over the window for each small cofactor d1;
     # d1 < bound, so its screen row is complete
     d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
@@ -140,33 +163,31 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
         keep &= np.gcd(d1s, np.uint64(res_m)) == 1
     d1_info = list(zip(d1s[keep].tolist(), kb1s[keep].tolist(),
                        kd1s[keep].tolist(), sd1s[keep].tolist()))
-    for lo, hi in _chunk_ranges(n, n + window, chunk):
-        smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
+
+    def window_job(lo, hi):
+        acc = _Accumulator(acc_moduli)
+        smooth, kh, sign, _, excess = sieve.screen_chunk(
             lo, hi, primes, pcells, want_excess=True)
+        # one key per element: m/d1 passes the cell test iff key <= top +
+        # kd1 - kb1, and a non-smooth m never does
+        kh[~smooth] = np.iinfo(np.int32).max
         for d1, kb1, kd1, s1 in d1_info:
             low = max(lo, d1 * (cap_x + 1) - 1)
             first = (low // d1 + 1) * d1
             if first > hi:
                 continue
             i0 = first - (lo + 1)
-            sl = slice(i0, None, d1)
-            sm = smooth[sl]
-            pos = np.nonzero(sm)[0]
-            if len(pos) == 0:
-                continue
-            nv = first + pos.astype(np.int64) * d1
-            khs = kh[sl][pos].astype(np.int64) - kd1
-            exs = excess[sl][pos]
-            good = (khs + kb1 <= top) & (exs <= np.uint64(d1))
-            good &= (np.uint64(d1) % np.maximum(exs, np.uint64(1))) == 0
+            idx = np.flatnonzero(kh[i0::d1] <= top + kd1 - kb1) * d1 + i0
+            # m/d1 is square-free exactly when d1 is a multiple of the excess
+            idx = idx[np.uint64(d1) % excess[idx] == 0]
             if res_m:
-                good &= (nv % res_m) == res_r
-            if not good.any():
+                idx = idx[(idx + (lo + 1)) % res_m == res_r]
+            if len(idx) == 0:
                 continue
-            nv = nv[good]
+            nv = idx + (lo + 1)
             # the primes of m are those of d1 and of the square-free m/d1,
             # so mu(m/d1) = sign(m) * sign(d1) * sign(gcd(d1, m/d1))
-            sg = sign[sl][pos][good].astype(np.int64) * s1
+            sg = sign[idx].astype(np.int64) * s1
             sg *= sd1s[np.gcd(nv // d1, d1) - 1]
             if weight is None:
                 acc.add_exact(int(np.sum(sg)))
@@ -179,7 +200,17 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                     sv = np.where(sg > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
                     residues.append(int(np.sum(sv.astype(np.int64))) % p)
                 acc.add_residues(residues)
-    return acc.result()
+        return acc
+
+    jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
+    jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
+    if cap_x <= chunk:
+        # one chunk per range (cap_x >= S): two short jobs, which contend for
+        # the interpreter lock more than a second worker saves
+        threads = 1
+    for part in map_ordered(lambda job: job[0](job[1], job[2]), jobs, threads):
+        total.merge(part)
+    return total.result()
 
 
 def _inverse_table(m):

@@ -253,10 +253,11 @@ def _max_squarefree_omega(x):
 def error_window_size(params):
     """Length S of the window (n, n+S] that can absorb misattributed mass.
 
-    Safe over-approximation: every product d1*d2 > n with
-    cell_index(d1) + factored_cell_index(d2) <= top_cell lands at or below
-    n + S. The closed form window_size(n, delta) bounds a scan over the cells
-    past top_cell: a product in cell k needs a square-free d2 with at least
+    Safe over-approximation: every product d1*d2 > n whose cell_index(d1)
+    plus the additive cell index of d2 (the sum of e * cell_index(p) over
+    its prime powers p^e) is at most top_cell lands at or below n + S. The
+    closed form window_size(n, delta) bounds a scan over the cells past
+    top_cell: a product in cell k needs a square-free d2 with at least
     k - 1 - top_cell prime factors, and d2 <= cell_top(k) caps that count by
     the largest primorial below it, so S ends at the last cell that passes.
     """
@@ -314,20 +315,6 @@ def cell_index_vec(values, params):
     never satisfy a `<= top_cell - something` test; callers only compare.
     """
     return np.searchsorted(params.bounds_np, values, side="right") - 1
-
-
-def factored_cell_index(factorization, params):
-    """Sum of e * cell_index(p) over a factorization [(p, e), ...].
-
-    Additive in the factorization, so it plays the role of cell_index under
-    multiplication; empty factorization (n = 1) gives 0.
-    """
-    total = 0
-    for p, e in factorization:
-        if p < 2:
-            raise ValueError("factor primes must be >= 2")
-        total += e * cell_index(p, params)
-    return total
 
 
 def cell_counts(params):

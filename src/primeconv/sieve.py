@@ -79,40 +79,38 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
       sqfree: no sieved prime divides twice
       excess: product of p^(e-1) over sieved primes with e >= 2 (or None)
 
-    Only `smooth` rows carry final values of kh/sign; a residual > 1 means a
-    prime factor above the bound, which every caller treats as weight zero.
+    Only `smooth` rows carry final values of kh/sign; an integer with a prime
+    factor above the bound is not smooth, and every caller treats it as
+    weight zero. The sieved part of each integer is built up by multiplying:
+    it divides the integer, so it never overflows the integer's dtype.
     """
     size = hi - lo
     dtype = np.uint32 if hi < (1 << 32) else np.uint64
-    rem = np.arange(lo + 1, hi + 1, dtype=dtype)
+    part = np.ones(size, dtype=dtype)
     kh = np.zeros(size, dtype=np.int32)
     sign = np.ones(size, dtype=np.int8)
     sqfree = np.ones(size, dtype=bool)
     excess = np.ones(size, dtype=np.uint64) if want_excess else None
-    for i in range(len(primes)):
-        p = int(primes[i])
+    for p, kb in zip(primes.tolist(), prime_cells.tolist()):
         first = (lo // p + 1) * p
         if first > hi:
             continue
-        kb = np.int32(prime_cells[i])
-        i0 = first - (lo + 1)
-        sl = slice(i0, None, p)
-        rem[sl] //= dtype(p)
+        sl = slice(first - (lo + 1), None, p)
+        part[sl] *= p
         kh[sl] += kb
-        sign[sl] = -sign[sl]
+        sign[sl] *= -1
         q = p * p
-        if q <= hi:
-            first2 = (lo // q + 1) * q
-            if first2 <= hi:
-                sqfree[first2 - (lo + 1)::q] = False
-            while q <= hi:
-                first_q = (lo // q + 1) * q
-                if first_q > hi:
-                    break
-                slq = slice(first_q - (lo + 1), None, q)
-                rem[slq] //= dtype(p)
-                kh[slq] += kb
-                if want_excess:
-                    excess[slq] *= np.uint64(p)
-                q *= p
-    return rem == 1, kh, sign, sqfree, excess
+        while q <= hi:
+            first_q = (lo // q + 1) * q
+            if first_q > hi:
+                break
+            slq = slice(first_q - (lo + 1), None, q)
+            if q == p * p:
+                sqfree[slq] = False
+            part[slq] *= p
+            kh[slq] += kb
+            if want_excess:
+                excess[slq] *= p
+            q *= p
+    smooth = part == np.arange(lo + 1, hi + 1, dtype=dtype)
+    return smooth, kh, sign, sqfree, excess

@@ -258,10 +258,12 @@ def test_character_tables_orthogonal():
 
 
 def test_thread_count_neutral_for_values():
+    # chunks of 4096 split the correction's window (13,225 entries at this n)
+    # into several jobs, so more than one thread runs them
     n = 300_000
-    vals = {primeconv.count_primes(n, counting.Config(threads=t))
-            for t in (1, 2, 4)}
-    assert len(vals) == 1
+    vals = {primeconv.count_primes(n, counting.Config(threads=t, chunk_size=c))
+            for t in (1, 2, 4) for c in (None, 4096)}
+    assert vals == {oracles.pi_naive(n)}
 
 
 def test_sum_over_primes_range_guard_spares_the_sieve_path():

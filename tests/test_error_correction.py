@@ -119,23 +119,26 @@ def test_pairs_deterministic_across_chunking():
     assert len(vals) == 1
 
 
+class WeightN:
+    """The weight h(m) = m, with prefix sums x(x+1)/2 mod p."""
+
+    def value_at(self, x, p):
+        return x % p
+
+    def values_vec(self, arr, p):
+        return np.asarray(arr, dtype=np.uint64) % np.uint64(p)
+
+    def prefix_vec(self, arr, p):
+        x = np.asarray(arr, dtype=np.uint64) % np.uint64(p)
+        x1 = (x + np.uint64(1)) % np.uint64(p)
+        half = np.uint64(pow(2, -1, p))
+        return x * x1 % np.uint64(p) * half % np.uint64(p)
+
+
 def test_pairs_weighted_and_residue_modes():
     n, delta = 4000, Fraction(1, 200)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-
-    class WeightN:
-        def value_at(self, x, p):
-            return x % p
-
-        def values_vec(self, arr, p):
-            return np.asarray(arr, dtype=np.uint64) % np.uint64(p)
-
-        def prefix_vec(self, arr, p):
-            x = np.asarray(arr, dtype=np.uint64) % np.uint64(p)
-            x1 = (x + np.uint64(1)) % np.uint64(p)
-            half = np.uint64(pow(2, -1, p))
-            return x * x1 % np.uint64(p) * half % np.uint64(p)
 
     got = ec.pairs_correction(params, bound, weight=WeightN(), moduli=[P1, P2])
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
@@ -145,6 +148,28 @@ def test_pairs_weighted_and_residue_modes():
     for m, r in ((4, 3), (3, 1), (30, 7)):
         got = ec.pairs_correction(params, bound, residue=(m, r))
         assert got == oracles.error_term_naive_pairs(n, delta, residue=(m, r))
+
+
+def test_pairs_thread_count_and_chunking_neutral():
+    # chunks of 977 split both the divisor range and the window into at
+    # least 4 jobs, so 2 and 3 workers each take several of them
+    n, delta = 200_000, Fraction(1, 200)
+    params = seg.make_params(n, delta, need_window=True)
+    bound = math.isqrt(n)
+    assert params.window >= 4 * 977
+    assert max(params.window, (n + params.window) // bound) >= 4 * 977
+    modes = [({}, oracles.error_term_naive_pairs(n, delta)),
+             ({"residue": (4, 3)},
+              oracles.error_term_naive_pairs(n, delta, residue=(4, 3)))]
+    expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
+    modes.append(({"weight": WeightN(), "moduli": [P1, P2]},
+                  (expect % P1, expect % P2)))
+    for kwargs, expect in modes:
+        for threads in (1, 2, 3):
+            for chunk in (None, 977, 1 << 12):
+                got = ec.pairs_correction(params, bound, threads=threads,
+                                          chunk_size=chunk, **kwargs)
+                assert got == expect, (kwargs, threads, chunk)
 
 
 def test_triples_against_exhaustive_oracle():

@@ -44,13 +44,12 @@ def test_cell_index_matches_float_floor_on_clean_cases():
 
 
 def test_factored_cell_index_examples():
+    # the additive cell index of a factorization is sum(e * cell_index(p))
     params = seg.make_params(64, Fraction(1))
-    assert seg.factored_cell_index([(3, 2)], params) == 2
+    assert 2 * seg.cell_index(3, params) == 2
     assert seg.cell_index(9, params) == 3  # differs from the additive value
-    for p in (2, 3, 5, 7, 11, 13):
-        assert seg.factored_cell_index([(p, 1)], params) == seg.cell_index(p, params)
-    assert seg.factored_cell_index([(2, 1), (3, 1), (7, 1)], params) == 4
-    assert seg.factored_cell_index([], params) == 0
+    assert sum(seg.cell_index(p, params) for p in (2, 3, 7)) == 4
+    assert seg.cell_index(42, params) == 5
 
 
 def test_cell_counts_power_of_two_delta():
@@ -119,7 +118,7 @@ def test_factored_cell_bound_up_to_1e5():
             p = int(spf[m])
             fac[p] = fac.get(p, 0) + 1
             m //= p
-        kh = seg.factored_cell_index(sorted(fac.items()), params)
+        kh = sum(e * seg.cell_index(p, params) for p, e in fac.items())
         kb = seg.cell_index(n, params)
         assert kb - math.log2(n) <= kh <= kb
 
@@ -186,7 +185,7 @@ def test_window_covers_every_contributing_pair():
                     fac.append((x, 1))
                 if any(e > 1 for _, e in fac):
                     continue
-                kd = seg.factored_cell_index(fac, params)
+                kd = sum(e * seg.cell_index(p, params) for p, e in fac)
                 if seg.cell_index(m // d2, params) + kd <= top:
                     any_pair = True
                     break

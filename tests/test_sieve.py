@@ -97,11 +97,20 @@ def _check_screen(params, bound, lo, hi, step):
             exp_excess *= p ** (e - 1)
         assert excess[idx] == exp_excess
         if is_smooth:
-            assert kh[idx] == seg.factored_cell_index(fac, params)
+            assert kh[idx] == sum(e * seg.cell_index(p, params) for p, e in fac)
 
 
 def test_screen_chunk_summaries():
     _check_screen(seg.make_params(10 ** 4, Fraction(1, 40)), 100, 5000, 6000, 7)
+
+
+def test_screen_chunk_at_top_of_32_bits():
+    # the last uint32 entry, 2^32 - 1 = 3 * 5 * 17 * 257 * 65537, is smooth
+    # for a bound of 65537, so its sieved part reaches the dtype limit; the
+    # sampled entries end at it
+    hi = (1 << 32) - 1
+    _check_screen(seg.make_params(1 << 33, Fraction(1, 40)), 65537,
+                  hi - 601, hi, 5)
 
 
 def test_screen_chunk_above_32_bits():
