@@ -67,8 +67,7 @@ class MultiplicativeWeight:
     """Completely multiplicative weight with O(1) prefix sums per modulus.
 
     Three kinds: the unit weight, n -> n^ell, and Dirichlet characters (whose
-    values live in the NTT prime fields as roots of unity). The descriptor
-    records which.
+    values live in the NTT prime fields as roots of unity).
     """
 
     def __init__(self, kind, ell=0, char_mod=0, char_index=0, tables=None,
@@ -94,14 +93,6 @@ class MultiplicativeWeight:
     def is_unit(self):
         return self.kind == "unit"
 
-    @property
-    def descriptor(self):
-        if self.kind == "unit":
-            return "unit"
-        if self.kind == "power":
-            return f"n^{self.ell}"
-        return f"character({self.char_mod},{self.char_index})"
-
     def value_at(self, n, modulus):
         if self.kind == "unit":
             return 1 % modulus
@@ -119,16 +110,8 @@ class MultiplicativeWeight:
         return self._tables[modulus][(arr % np.uint64(self.char_mod)).astype(np.int64)]
 
     def prime_power_values(self, primes, r, modulus):
-        """h(p^r) = h(p)^r for each prime (residues when modulus given)."""
-        arr = np.asarray(primes, dtype=np.uint64)
-        if modulus is None:
-            if self.kind == "unit":
-                return np.ones(len(arr), dtype=np.int64)
-            if self.kind == "power":
-                return arr.astype(np.int64) ** (self.ell * r)
-            raise ValueError("character weights need a modulus")
-        vals = self.values_vec(arr, modulus)
-        return _pow_vec(vals, r, modulus)
+        """h(p^r) = h(p)^r mod modulus for each prime."""
+        return _pow_vec(self.values_vec(primes, modulus), r, modulus)
 
     def prefix_vec(self, arr, modulus):
         """H(x) = sum_{1 <= i <= x} h(i) mod modulus, vectorized."""
@@ -142,9 +125,6 @@ class MultiplicativeWeight:
         full, pre = self._prefix_tables[modulus]
         return ((arr // m) % p * np.uint64(full)
                 + pre[(arr % m).astype(np.int64)]) % p
-
-    def prefix_at(self, x, modulus):
-        return int(self.prefix_vec(np.array([x], dtype=np.uint64), modulus)[0])
 
 
 def _pow_vec(vals, e, modulus):
@@ -303,6 +283,8 @@ def _pipeline_delta(n, config):
 def _check_supported(n, config):
     if n > config.max_n:
         raise ValueError(f"n = {n} exceeds the supported range {config.max_n}")
+    if (config.chunk_size or 0) < 0:
+        raise ValueError("chunk size must be non-negative")
 
 
 def _prefix_dot(arr, weights_mod, modulus):
@@ -316,10 +298,10 @@ def _celltops_desc(params):
     return params.bounds_np[1:top + 2][::-1] - 1
 
 
-def _pi_pipeline(n, config, weight=None, char_weights=None,
-                 skip_correction=False):
-    """Shared core: returns (per-modulus approx sums, window term, params,
-    primes, timings). char_weights runs several weights over shared params."""
+def _pi_pipeline(n, config, weights, *, correct=True):
+    """Shared core: returns (per-modulus rows of approx sums, one per weight;
+    the pair correction of the single weight unless correct=False; params,
+    primes, moduli, timings)."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -331,33 +313,42 @@ def _pi_pipeline(n, config, weight=None, char_weights=None,
     timings["primes"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     moduli = config.modulus_pair()
-    weight = weight or MultiplicativeWeight.unit()
-    weights = char_weights if char_weights is not None else [weight]
     celltops = _celltops_desc(params)
     threads = config.resolved_threads()
 
     def one_modulus(p):
         rows = []
         for w in weights:
-            mob = smooth_mobius.smooth_mobius_cells(
-                primes, params, p, weight=None if w.is_unit else w)
+            mob = smooth_mobius.smooth_mobius_cells(primes, params, p, weight=w)
             rows.append(_prefix_dot(mob, w.prefix_vec(celltops, p), p))
         return rows
 
     approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
     timings["convolution"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if skip_correction:
-        corr = None
-    elif weight.is_unit:
-        corr = error_correction.pairs_correction(
-            params, bound, chunk_size=config.chunk_size, threads=threads)
-    else:
+    corr = None
+    if correct:
+        t0 = time.perf_counter()
+        (weight,) = weights
         corr = error_correction.pairs_correction(
             params, bound, weight=weight, moduli=moduli,
             chunk_size=config.chunk_size, threads=threads)
-    timings["correction"] = time.perf_counter() - t0
+        timings["correction"] = time.perf_counter() - t0
     return approx, corr, params, primes, moduli, timings
+
+
+def _prime_sum_result(function, n, weight, config, extra):
+    """Sum of h(p) over primes p <= n through the main pipeline."""
+    approx, corr, params, primes, moduli, timings = _pi_pipeline(
+        n, config, [weight])
+    t0 = time.perf_counter()
+    residues = []
+    for (a,), err, p in zip(approx, corr, moduli):
+        tail = int(np.sum(weight.values_vec(primes, p).astype(np.int64)) % p)
+        residues.append((a - err - 1 + tail) % p)
+    value = modmath.crt_combine(residues, moduli)
+    timings["combine"] = time.perf_counter() - t0
+    return ResultBundle(function, n, value, params.delta, params.window,
+                        tuple(moduli), timings, extra)
 
 
 def count_primes_result(n, config=None):
@@ -371,16 +362,7 @@ def count_primes_result(n, config=None):
         value = oracles.pi_naive(n)
         return ResultBundle("pi", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0})
-    approx, corr, params, primes, moduli, timings = _pi_pipeline(n, config)
-    t0 = time.perf_counter()
-    residues = []
-    for (a,), p in zip(approx, moduli):
-        residues.append((a - corr - 1 + len(primes)) % p)
-    value = modmath.crt_combine(modmath.CrtPair(
-        residues[0], moduli[0], residues[1], moduli[1]))
-    timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("pi", n, value, params.delta, params.window,
-                        tuple(moduli), timings)
+    return _prime_sum_result("pi", n, MultiplicativeWeight.unit(), config, {})
 
 
 def count_primes(n, config=None):
@@ -394,32 +376,14 @@ def sum_over_primes_result(n, power=1, config=None):
         raise ValueError("n must be non-negative")
     _check_supported(n, config)
     weight = MultiplicativeWeight.power(power)
-    moduli = config.modulus_pair()
     if n < config.cutoff:
         t0 = time.perf_counter()
         value = oracles.sum_primes_naive(n, power)
         return ResultBundle("sum-primes", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0},
                             {"power": power})
-    _check_sum_range(n, power, moduli)
-    if weight.is_unit:
-        bundle = count_primes_result(n, config)
-        bundle.function = "sum-primes"
-        bundle.extra["power"] = power
-        return bundle
-    approx, corr, params, primes, moduli, timings = _pi_pipeline(
-        n, config, weight=weight)
-    t0 = time.perf_counter()
-    residues = []
-    for (a,), err, p in zip(approx, corr, moduli):
-        tail = int(np.sum(weight.values_vec(
-            np.asarray(primes, dtype=np.uint64), p).astype(np.int64)) % p)
-        residues.append((a - err - 1 + tail) % p)
-    value = modmath.crt_combine(modmath.CrtPair(
-        residues[0], moduli[0], residues[1], moduli[1]))
-    timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("sum-primes", n, value, params.delta, params.window,
-                        tuple(moduli), timings, {"power": power})
+    _check_sum_range(n, power, config.modulus_pair())
+    return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
 
 
 def sum_over_primes(n, power=1, config=None):
@@ -463,20 +427,22 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     for q, e in modmath.factorize(modulus):
         phi_m *= (q - 1) * q ** (e - 1)
     pair = _select_moduli(phi_m, config)
-    # the character transforms do not depend on the residue; cache them so
-    # looping over residues pays only one correction pass per residue
-    key = (n, modulus, pair, str(config.delta_scale), config.cutoff,
-           config.chunk_size)
+    # the character transforms depend on no residue, cutoff, chunk size or
+    # thread count; cache them so looping over residues pays only one
+    # correction pass per residue
+    key = (n, modulus, pair, Fraction(config.delta_scale))
     cached = _char_pipeline_cache.get(key)
     if cached is None:
         chars, _ = _character_weights(modulus, pair)
         cfg = Config(**{**config.__dict__, "moduli": pair})
         approx, _, params, primes, _, timings = _pi_pipeline(
-            n, cfg, char_weights=chars, skip_correction=True)
+            n, cfg, chars, correct=False)
         cached = (chars, approx, params, primes)
         _char_pipeline_cache[key] = cached
-        while len(_char_pipeline_cache) > 8:
-            _char_pipeline_cache.pop(next(iter(_char_pipeline_cache)))
+        # list() snapshots the keys at once; a concurrent eviction may have
+        # dropped one already
+        for old in list(_char_pipeline_cache)[:-8]:
+            _char_pipeline_cache.pop(old, None)
     else:
         timings = {}
     chars, approx, params, primes = cached
@@ -496,8 +462,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         for k, w in enumerate(chars):
             s = (s + int(w._tables[p][r_inv]) * rows[k]) % p
         residues.append((s * inv_phi - corr - indicator + small) % p)
-    value = modmath.crt_combine(modmath.CrtPair(
-        residues[0], pair[0], residues[1], pair[1]))
+    value = modmath.crt_combine(residues, pair)
     timings["combine"] = time.perf_counter() - t0
     return ResultBundle("pi-mod", n, value, params.delta, params.window,
                         tuple(pair), timings,
@@ -595,14 +560,13 @@ def mertens_multi(ns, trunc, config=None, delta=None):
             t1 = time.perf_counter()
             sub = _reindexed(params_max, n_i)
             top = sub.top_cell
-            tops = sub.bounds_np[1:top + 2][::-1] - 1
+            tops = _celltops_desc(sub)
             residues = []
             corr = error_correction.triples_correction(sub, trunc, mu)
             for p in moduli:
                 a = _prefix_dot(conv2[p][:top + 1], tops % np.uint64(p), p)
                 residues.append((2 * m_trunc - a + corr) % p)
-            value = modmath.crt_combine(modmath.CrtPair(
-                residues[0], moduli[0], residues[1], moduli[1]))
+            value = modmath.crt_combine(residues, moduli)
             sub_t = dict(timings)
             sub_t["threshold"] = time.perf_counter() - t1
             results[n_i] = ResultBundle(

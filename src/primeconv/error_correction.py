@@ -49,38 +49,8 @@ def map_ordered(fn, items, threads):
     return [fn(it) for it in items]
 
 
-class _Accumulator:
-    """Exact or per-modulus accumulation of correction terms."""
-
-    def __init__(self, moduli):
-        self.moduli = moduli
-        self.totals = [0] * max(1, len(moduli) if moduli else 1)
-
-    def add_exact(self, value):
-        if self.moduli:
-            for i, p in enumerate(self.moduli):
-                self.totals[i] = (self.totals[i] + value) % p
-        else:
-            self.totals[0] += value
-
-    def add_residues(self, residues):
-        for i, (p, v) in enumerate(zip(self.moduli, residues)):
-            self.totals[i] = (self.totals[i] + v) % p
-
-    def merge(self, other):
-        if self.moduli:
-            self.add_residues(other.totals)
-        else:
-            self.totals[0] += other.totals[0]
-
-    def result(self):
-        if self.moduli:
-            return tuple(t % p for t, p in zip(self.totals, self.moduli))
-        return self.totals[0]
-
-
 def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
-                     chunk_size=None, window=None, threads=1):
+                     chunk_size=None, threads=1):
     """Divisor-major evaluation of the pair error sum.
 
     Splits on the divisor value at cap_x = max(S, (n + S) // bound): divisors
@@ -88,24 +58,22 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
     cofactor-interval count in O(1); larger divisors are m/d1 for cofactors
     d1 <= (n + S) // (cap_x + 1) < bound and come from stride slices of the
     screened window itself. Such d1 have no prime factor above the bound, so
-    m/d1 is bound-smooth exactly when m is, and no pair is lost. Unit weight
-    returns an exact int; with `weight` returns one residue per modulus in
-    `moduli`; `residue` restricts products to r mod m and returns an exact
-    int.
+    m/d1 is bound-smooth exactly when m is, and no pair is lost. S is
+    params.window. The sum is weighted by h = `weight` (None or a unit weight
+    for h = 1); `residue` = (m, r) keeps only the products congruent to r mod
+    m. Returns the exact int without `moduli`, else one residue per modulus.
 
-    Each chunk of (0, cap_x] and of (n, n + S] is one job with its own
-    partial sum. When a range spans more than one chunk, the jobs run on up
-    to `threads` worker threads, one chunk in memory per worker; the partials
-    are summed in chunk order.
+    Each chunk of (0, cap_x] and of (n, n + S] is one job whose partial sums
+    (one Python int per modulus, or one exact int) are added up in chunk
+    order and reduced once. When a range spans more than one chunk, the jobs
+    run on up to `threads` worker threads, one chunk in memory per worker.
     """
     n = params.n
-    window = params.window if window is None else window
-    if window is None:
-        window = segmentation.error_window_size(params)
-    acc_moduli = moduli if weight is not None else None
-    total = _Accumulator(acc_moduli)
+    window = params.window
+    unit = weight is None or weight.is_unit
+    width = 1 if unit else len(moduli)
     if window <= 0:
-        return total.result()
+        return _reduced([0] * width, moduli)
     top = params.top_cell
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
@@ -117,7 +85,6 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
         inv_table = _inverse_table(res_m)
 
     def divisor_job(lo, hi):
-        acc = _Accumulator(acc_moduli)
         smooth, kh, sign, sqfree, _ = sieve.screen_chunk(lo, hi, primes, pcells)
         idx = np.flatnonzero(smooth & sqfree & (kh <= top))
         d2 = idx + (lo + 1)
@@ -127,31 +94,29 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
         live = upper > lower
         d2, upper, lower = d2[live], upper[live], lower[live]
         if len(d2) == 0:
-            return acc
+            return [0] * width
         sg = sign[idx[live]].astype(np.int64)
         # free the screen before the per-modulus sums: another worker may
         # hold a chunk at the same time
         del smooth, kh, sign, sqfree, idx
-        if weight is None and not res_m:
-            acc.add_exact(int(np.sum(sg * (upper - lower))))
-        elif res_m:
+        if unit and not res_m:
+            return [int(np.sum(sg * (upper - lower)))]
+        if res_m:
             inv = inv_table[d2 % res_m]
             good = inv >= 0
             t = (res_r * inv[good]) % res_m
             up, lw = upper[good], lower[good]
             cnt = (up - t) // res_m - (lw - t) // res_m
-            acc.add_exact(int(np.sum(sg[good] * cnt)))
-        else:
-            residues = []
-            for p in moduli:
-                hv = weight.values_vec(d2, p)
-                sv = np.where(sg > 0, hv, (p - hv) % np.uint64(p))
-                pref = (weight.prefix_vec(upper.astype(np.uint64), p)
-                        + np.uint64(p)
-                        - weight.prefix_vec(lower.astype(np.uint64), p)) % np.uint64(p)
-                residues.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))) % p)
-            acc.add_residues(residues)
-        return acc
+            return [int(np.sum(sg[good] * cnt))]
+        part = []
+        for p in moduli:
+            hv = weight.values_vec(d2, p)
+            sv = np.where(sg > 0, hv, (p - hv) % np.uint64(p))
+            pref = (weight.prefix_vec(upper.astype(np.uint64), p)
+                    + np.uint64(p)
+                    - weight.prefix_vec(lower.astype(np.uint64), p)) % np.uint64(p)
+            part.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))))
+        return part
 
     # large divisors: stride over the window for each small cofactor d1;
     # d1 < bound, so its screen row is complete
@@ -165,7 +130,7 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                        kd1s[keep].tolist(), sd1s[keep].tolist()))
 
     def window_job(lo, hi):
-        acc = _Accumulator(acc_moduli)
+        part = [0] * width
         smooth, kh, sign, _, excess = sieve.screen_chunk(
             lo, hi, primes, pcells, want_excess=True)
         # one key per element: m/d1 passes the cell test iff key <= top +
@@ -189,18 +154,16 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
             # so mu(m/d1) = sign(m) * sign(d1) * sign(gcd(d1, m/d1))
             sg = sign[idx].astype(np.int64) * s1
             sg *= sd1s[np.gcd(nv // d1, d1) - 1]
-            if weight is None:
-                acc.add_exact(int(np.sum(sg)))
-            else:
-                residues = []
-                for p in moduli:
-                    h1 = weight.value_at(d1, p)
-                    hv = weight.values_vec((nv // d1).astype(np.uint64), p)
-                    hv = hv * np.uint64(h1) % np.uint64(p)
-                    sv = np.where(sg > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
-                    residues.append(int(np.sum(sv.astype(np.int64))) % p)
-                acc.add_residues(residues)
-        return acc
+            if unit:
+                part[0] += int(np.sum(sg))
+                continue
+            for i, p in enumerate(moduli):
+                h1 = weight.value_at(d1, p)
+                hv = weight.values_vec((nv // d1).astype(np.uint64), p)
+                hv = hv * np.uint64(h1) % np.uint64(p)
+                sv = np.where(sg > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
+                part[i] += int(np.sum(sv.astype(np.int64)))
+        return part
 
     jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
@@ -208,9 +171,18 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
         # one chunk per range (cap_x >= S): two short jobs, which contend for
         # the interpreter lock more than a second worker saves
         threads = 1
-    for part in map_ordered(lambda job: job[0](job[1], job[2]), jobs, threads):
-        total.merge(part)
-    return total.result()
+    parts = map_ordered(lambda job: job[0](job[1], job[2]), jobs, threads)
+    return _reduced([sum(col) for col in zip(*parts)], moduli)
+
+
+def _reduced(sums, moduli):
+    """The exact sum without moduli; else its residue per modulus (a unit
+    sum is one exact int, a weighted one has one entry per modulus)."""
+    if moduli is None:
+        return sums[0]
+    if len(sums) == 1:
+        sums = sums * len(moduli)
+    return tuple(s % p for s, p in zip(sums, moduli))
 
 
 def _inverse_table(m):

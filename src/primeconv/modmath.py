@@ -6,8 +6,6 @@ residues fit in uint64, which lets every butterfly stay inside vectorized numpy
 arithmetic. Final results are reconstructed from a pair of coprime moduli.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # NTT-friendly primes with large power-of-two subgroups and known primitive
@@ -224,23 +222,15 @@ def power_series_exp(f, n, modulus):
     return c
 
 
-@dataclass(frozen=True)
-class CrtPair:
-    """One value seen through two coprime prime moduli."""
-    residue1: int
-    modulus1: int
-    residue2: int
-    modulus2: int
+def crt_combine(residues, moduli):
+    """The value with the given residues modulo pairwise coprime moduli, as
+    its representative in (-P/2, P/2], P = the product of the moduli.
 
-
-def crt_combine(pair):
-    """Unique representative of the pair in (-P/2, P/2], P = m1*m2."""
-    m1, m2 = pair.modulus1, pair.modulus2
-    r1 = pair.residue1 % m1
-    r2 = pair.residue2 % m2
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    x = r1 + m1 * t
-    product = m1 * m2
+    Garner's mixed-radix reconstruction, one modulus at a time."""
+    x, product = 0, 1
+    for r, m in zip(residues, moduli):
+        x += product * ((r - x) * pow(product, -1, m) % m)
+        product *= m
     if x > product // 2:
         x -= product
     return x

@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 Everything here is definitional: sieves, trial division, exhaustive divisor
-enumeration. Deliberately independent of the main pipeline (no imports from
-the other modules) so tests and fixtures have a second route to every value.
+enumeration, the time-domain Newton recurrence. Deliberately independent of
+the main pipeline (no imports from the other modules) so tests and fixtures
+have a second route to every value.
 Single-threaded; exactness over speed.
 """
 
@@ -226,6 +227,39 @@ class OracleCells:
     def cell_additive(self, n):
         """Sum of e * cell(p) over the factorization of n."""
         return sum(e * self.cell(p) for p, e in factor_naive(n)) if n > 1 else 0
+
+
+def newton_direct(primes, n, delta, r_max):
+    """[C_0, ..., C_r_max]: C_r[k] counts the products of r distinct primes
+    from `primes` whose cell indices add up to k, for k <= cell(n).
+
+    Time-domain Newton recurrence r * C_r = sum_j (-1)^(j-1) C_(r-j) conv E_j,
+    where E_j holds the primes at j times their cell (the cell array of their
+    j-th powers), each convolution truncated at cell(n). Exact int64.
+    """
+    cells = OracleCells(delta)
+    top = cells.cell(n)
+    e1 = np.zeros(top + 1, dtype=np.int64)
+    for k in (cells.cell(int(p)) for p in primes):
+        if k <= top:
+            e1[k] += 1
+    es = []
+    for j in range(1, r_max + 1):
+        ej = np.zeros(top + 1, dtype=np.int64)
+        ej[::j] = e1[:top // j + 1]
+        es.append(ej)
+    cs = [np.zeros(top + 1, dtype=np.int64)]
+    cs[0][0] = 1
+    for r in range(1, r_max + 1):
+        acc = np.zeros(top + 1, dtype=np.int64)
+        for j in range(1, r + 1):
+            term = np.convolve(cs[r - j], es[j - 1])[:top + 1]
+            acc += term if j % 2 == 1 else -term
+        q, rem = np.divmod(acc, r)
+        if rem.any():
+            raise ArithmeticError("product-count recurrence not divisible")
+        cs.append(q)
+    return cs
 
 
 def _pairs_scan_top(n, delta):

@@ -316,15 +316,3 @@ def cell_index_vec(values, params):
     """
     return np.searchsorted(params.bounds_np, values, side="right") - 1
 
-
-def cell_counts(params):
-    """Array of length top_cell + 1; entry k counts integers n with cell k."""
-    top = params.top_cell
-    return np.diff(params.bounds_np[:top + 2]).astype(np.uint64)
-
-
-def prefix_cell_counts(params, k):
-    """Number of integers n >= 1 with cell_index(n) <= k (telescoped)."""
-    if k < 0:
-        return 0
-    return params.cell_top(k)

@@ -46,9 +46,6 @@ class MuTable:
             self._prefix = np.cumsum(self.values.astype(np.int64))
         return int(self._prefix[k])
 
-    def __getitem__(self, n):
-        return int(self.values[n])
-
 
 def mu_up_to(limit):
     """Sieve mu(n) for all n <= limit."""

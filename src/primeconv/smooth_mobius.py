@@ -3,10 +3,10 @@
 The cell array of the truncated Mobius function (optionally weighted by a
 completely multiplicative function) is assembled from arrays counting products
 of r distinct primes. Those satisfy a Newton-identities-style recurrence
-against the arrays of r-th prime powers, which is solved either directly in
-the time domain (reference path) or per Fourier coefficient as a power-series
-exponential (fast path), with the primes split into size ranges to keep
-transform padding small.
+against the arrays of r-th prime powers, which is solved per Fourier
+coefficient as a power-series exponential, with the primes split into size
+ranges to keep transform padding small. `oracles.newton_direct` solves the
+same recurrence in the time domain as the independent reference.
 """
 
 import math
@@ -27,12 +27,12 @@ class PrimePartition:
     pad_length: int
 
 
-def prime_cell_sums(primes, params, *, weight=None, modulus=None, power=1,
+def prime_cell_sums(primes, params, modulus, *, weight=None, power=1,
                     length=None):
-    """Cell array of h(p^power) scattered at power * cell_index(p).
+    """Cell array of h(p^power) mod modulus scattered at power * cell_index(p).
 
-    With the unit weight this counts primes per cell (power=1) or marks r-th
-    powers (power=r). Truncated to `length` (default top_cell + 1).
+    With the unit weight (None) this counts primes per cell (power=1) or
+    marks r-th powers (power=r). Truncated to `length` (default top_cell + 1).
     """
     if length is None:
         length = params.top_cell + 1
@@ -40,75 +40,13 @@ def prime_cell_sums(primes, params, *, weight=None, modulus=None, power=1,
     cells = segmentation.cell_index_vec(primes.astype(np.uint64), params)
     idx = cells.astype(np.int64) * power
     keep = idx < length
-    if weight is None and modulus is None:
-        out = np.zeros(length, dtype=np.int64)
-        np.add.at(out, idx[keep], 1)
-        return out
     out = np.zeros(length, dtype=np.uint64)
     if weight is None:
         vals = np.ones(int(keep.sum()), dtype=np.uint64)
     else:
         vals = weight.prime_power_values(primes[keep], power, modulus)
     np.add.at(out, idx[keep], vals)
-    return out % np.uint64(modulus) if modulus is not None else out
-
-
-def dilate_prime_cells(e1, r):
-    """Spread entry i of the order-1 array to index r*i, dropping overflow.
-
-    Exact for the unit weight, where the order-r prime-power array is an
-    index dilation of the order-1 array; r = 1 returns a copy.
-    """
-    if r < 1:
-        raise ValueError("dilation order must be >= 1")
-    e1 = np.asarray(e1)
-    out = np.zeros_like(e1)
-    count = (len(e1) - 1) // r + 1
-    out[::r] = e1[:count]
-    return out
-
-
-def newton_direct(e_arrays, r_max, modulus=None):
-    """Arrays counting weighted products of r distinct primes, r = 0..r_max.
-
-    e_arrays[j] is the order-(j+1) prime-power cell array; all arrays share
-    one truncation length, and each convolution is re-truncated to it. Time-
-    domain reference path: r * C_r = sum_j (-1)^(j-1) C_(r-j) conv E_j.
-    """
-    if not e_arrays:
-        raise ValueError("need at least the order-1 array")
-    k_len = len(e_arrays[0])
-    c0 = np.zeros(k_len, dtype=np.uint64 if modulus is not None else np.int64)
-    c0[0] = 1
-    cs = [c0]
-    for r in range(1, r_max + 1):
-        if modulus is None:
-            acc = np.zeros(k_len, dtype=np.int64)
-        else:
-            acc = np.zeros(k_len, dtype=np.uint64)
-        for j in range(1, r + 1):
-            if j - 1 >= len(e_arrays):
-                break
-            ej = e_arrays[j - 1]
-            if modulus is None:
-                term = np.convolve(cs[r - j], ej)[:k_len]
-                acc = acc + (term if j % 2 == 1 else -term)
-            else:
-                term = modmath.convolve_mod(cs[r - j], ej, modulus)[:k_len]
-                pad = np.zeros(k_len, dtype=np.uint64)
-                pad[:len(term)] = term
-                if j % 2 == 1:
-                    acc = (acc + pad) % np.uint64(modulus)
-                else:
-                    acc = (acc + (np.uint64(modulus) - pad)) % np.uint64(modulus)
-        if modulus is None:
-            q, rem = np.divmod(acc, r)
-            if rem.any():
-                raise ArithmeticError("product-count recurrence not divisible")
-            cs.append(q)
-        else:
-            cs.append(acc * np.uint64(pow(r, -1, modulus)) % np.uint64(modulus))
-    return cs
+    return out % np.uint64(modulus)
 
 
 def make_partitions(primes, params):
@@ -154,25 +92,21 @@ def _make_partition(primes, lo, hi, params):
     return PrimePartition(lo=lo, hi=hi, r_used=r_used, pad_length=pad)
 
 
-def smooth_mobius_cells(primes, params, modulus, *, weight=None, partition=True):
+def smooth_mobius_cells(primes, params, modulus, *, weight=None):
     """Cell array of the truncated-Mobius mass, weighted by h, modulo modulus.
 
     Entry k holds sum of h(n) * mu(n) over square-free n composed of the given
-    primes with factored cell index k, truncated at top_cell. Fourier-space
-    path: per coefficient, the order-r product arrays are read off a
-    power-series exponential of the prime-power transforms.
+    primes with factored cell index k, truncated at top_cell. Per Fourier
+    coefficient, the order-r product arrays are read off a power-series
+    exponential of the prime-power transforms. `weight` is None or a unit
+    weight for h = 1.
     """
     if 2 * params.delta > 1:
         raise ValueError("smooth Mobius cells need delta <= 1/2")
     top = params.top_cell
-    p = np.uint64(modulus)
     primes = np.asarray(primes, dtype=np.int64)
-    if partition:
-        parts = make_partitions(primes, params)
-    else:
-        parts = [_make_partition(primes, 0, len(primes), params)] if len(primes) else []
     pieces = [_partition_mobius(primes, part, params, modulus, weight)
-              for part in parts]
+              for part in make_partitions(primes, params)]
     if not pieces:
         out = np.zeros(top + 1, dtype=np.uint64)
         out[0] = 1
@@ -206,15 +140,16 @@ def _partition_mobius(primes, part, params, modulus, weight):
     # Fourier transforms of the order-r prime-power arrays
     e_tilde = np.empty((r_used + 1, length), dtype=np.uint64)
     e_tilde[0] = 0
-    if weight is None:
-        base = prime_cell_sums(sub, params, modulus=modulus, length=length)
+    if weight is None or weight.is_unit:
+        # the order-r array of the unit weight dilates the order-1 array by r
+        base = prime_cell_sums(sub, params, modulus, length=length)
         e1t = modmath.ntt_forward(base, ctx)
         idx = np.arange(length, dtype=np.int64)
         for r in range(1, r_used + 1):
             e_tilde[r] = e1t[(idx * r) % length]
     else:
         for r in range(1, r_used + 1):
-            arr = prime_cell_sums(sub, params, weight=weight, modulus=modulus,
+            arr = prime_cell_sums(sub, params, modulus, weight=weight,
                                   power=r, length=length)
             e_tilde[r] = modmath.ntt_forward(arr, ctx)
     # alternating signs folded into the series: f_r = (-1)^(r-1) e_r / r

@@ -6,6 +6,7 @@ hard bound and reports the advisory bound. Stated time targets are measured
 and reported, not asserted (hardware varies); values always are asserted.
 """
 
+import dataclasses
 import math
 import multiprocessing
 import random
@@ -245,11 +246,13 @@ def test_criterion_5_identity_suite(capsys):
             muhat = _enum_mobius_cells(primes, cells, top)
             tops = (params.bounds_np[1:top + 2][::-1].astype(np.int64) - 1)
             segmented = int(np.sum(muhat * tops))
-            corr = ec.pairs_correction(params, b, window=window)
+            corr = ec.pairs_correction(
+                dataclasses.replace(params, window=window), b)
             if segmented - dirichlet != corr:
                 bad.append(("error-term", n, j))
             shrunk = seg.error_window_size(params)
-            if ec.pairs_correction(params, b, window=shrunk) != corr:
+            if ec.pairs_correction(
+                    dataclasses.replace(params, window=shrunk), b) != corr:
                 bad.append(("shrunk-window", n, j))
         if bad:
             break
@@ -271,9 +274,7 @@ def test_criterion_6_newton_suite(capsys):
             top = params.top_cell
             cells = [seg.cell_index(p, params) for p in primes]
             r_max = min(len(primes), top // max(1, cells[0]))
-            e1 = sm.prime_cell_sums(primes, params)
-            es = [sm.dilate_prime_cells(e1, r) for r in range(1, r_max + 1)]
-            cs = sm.newton_direct(es, r_max)
+            cs = oracles.newton_direct(primes, n, delta, r_max)
             ref = [np.zeros(top + 1, dtype=np.int64) for _ in range(r_max + 1)]
 
             def walk(i, k, r):
@@ -300,9 +301,7 @@ def test_criterion_6_newton_suite(capsys):
             if len(primes):
                 r_cap = min(len(primes),
                             top // seg.cell_index(int(primes[0]), params))
-                e1 = sm.prime_cell_sums(primes, params, modulus=p)
-                es = [sm.dilate_prime_cells(e1, r) for r in range(1, r_cap + 1)]
-                cs = sm.newton_direct(es, r_cap, modulus=p)
+                cs = oracles.newton_direct(primes, n, delta, r_cap)
                 acc = np.zeros(top + 1, dtype=np.int64)
                 for r, c in enumerate(cs):
                     acc += c.astype(np.int64) if r % 2 == 0 else -c.astype(np.int64)
@@ -394,7 +393,7 @@ def test_criterion_9_transform_micro_suite(capsys):
     half = p1 * p2 // 2
     for _ in range(10 ** 4):
         x = rng.randrange(-half + 1, half + 1)
-        ok &= modmath.crt_combine(modmath.CrtPair(x % p1, p1, x % p2, p2)) == x
+        ok &= modmath.crt_combine([x % p1, x % p2], [p1, p2]) == x
     dt = time.perf_counter() - t0
     _report(capsys, 9, "transform/CRT micro-suite", ok, f"{dt:.0f}s")
 

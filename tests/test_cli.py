@@ -46,6 +46,15 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "pi-mod", "100", "--modulus", "4", "--residue", "2")[0] == 2
 
 
+def test_negative_chunk_size_exits_2(capsys, monkeypatch):
+    # n below the cutoff: the check comes before the sieve fallback
+    code, _, err = run_cli(capsys, "--chunk-size", "-3", "pi", "1000")
+    assert code == 2 and "chunk size" in err
+    monkeypatch.setenv("PRIMECONV_CHUNK_SIZE", "-3")
+    code, _, err = run_cli(capsys, "mertens", "1000")
+    assert code == 2 and "chunk size" in err
+
+
 def test_range_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "sum-primes", "100000000", "--power", "4")
     assert code == 3 and "range" in err

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -192,8 +195,8 @@ def test_shrunk_window_matches_closed_form_window():
         assert params.window < full
         bound = math.isqrt(n)
         assert (error_correction.pairs_correction(params, bound)
-                == error_correction.pairs_correction(params, bound,
-                                                     window=full)), n
+                == error_correction.pairs_correction(
+                    dataclasses.replace(params, window=full), bound)), n
 
 
 def test_engine_window_lengths():
@@ -213,6 +216,58 @@ def test_cache_hit_reports_only_its_own_phases():
     assert "convolution" in first.timings
     assert set(second.timings) == {"correction", "combine"}
     assert first.value + second.value + 1 == primeconv.count_primes(n)
+    # the cached transforms read neither the chunk size nor the cutoff
+    third = counting.count_primes_mod_result(
+        n, 4, 3, counting.Config(chunk_size=4096, cutoff=1000))
+    assert set(third.timings) == {"correction", "combine"}
+    assert third.value == second.value
+
+
+def test_char_cache_eviction_under_threads():
+    # more keys than the cache holds, filled and evicted by racing threads
+    counting._char_pipeline_cache.clear()
+    cfg = counting.Config(cutoff=500, threads=1)
+    ns = list(range(2000, 2012))
+    expect = {n: oracles.pi_mod_naive(n, 4, 3) for n in ns}
+    errors = []
+
+    def worker(shift):
+        for n in ns[shift:] + ns[:shift]:
+            try:
+                if primeconv.count_primes_mod(n, 4, 3, cfg) != expect[n]:
+                    errors.append(n)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(3 * i,))
+                   for i in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert not errors
+    assert len(counting._char_pipeline_cache) <= 8
+
+
+def test_negative_chunk_size_rejected():
+    # n below the cutoff: the check comes before the sieve fallback
+    cfg = counting.Config(chunk_size=-3)
+    calls = [lambda: primeconv.count_primes(1000, cfg),
+             lambda: primeconv.sum_over_primes(1000, 2, cfg),
+             lambda: primeconv.count_primes_mod(1000, 4, 3, cfg),
+             lambda: primeconv.count_primes_mod(1000, 1, 0, cfg),
+             lambda: primeconv.mertens(1000, cfg),
+             lambda: primeconv.count_squarefree(1000, cfg),
+             lambda: primeconv.totient_sum(1000, cfg)]
+    for call in calls:
+        with pytest.raises(ValueError, match="chunk size"):
+            call()
 
 
 def test_result_bundles_carry_provenance():

@@ -122,6 +122,8 @@ def test_pairs_deterministic_across_chunking():
 class WeightN:
     """The weight h(m) = m, with prefix sums x(x+1)/2 mod p."""
 
+    is_unit = False
+
     def value_at(self, x, p):
         return x % p
 
@@ -238,7 +240,7 @@ def test_triples_identity_with_dirichlet_reference():
                                    params)
         mubar = np.zeros(top + 1, dtype=np.int64)
         for v in range(1, trunc + 1):
-            mubar[cells[v - 1]] += mu[v]
+            mubar[cells[v - 1]] += mu.values[v]
         conv2 = np.convolve(mubar, mubar)[:top + 1]
         tops = np.array([params.cell_top(top - k) for k in range(top + 1)],
                         dtype=np.int64)

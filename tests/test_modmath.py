@@ -205,12 +205,15 @@ def test_power_series_exp_batched_matches_columns():
 
 def test_crt_combine_examples():
     # 23 is the unique solution mod 35; its centered representative is -12
-    got = modmath.crt_combine(modmath.CrtPair(3, 5, 2, 7))
+    got = modmath.crt_combine([3, 2], [5, 7])
     assert got % 35 == 23 and got == -12
     assert -35 // 2 < got <= 35 // 2
-    assert modmath.crt_combine(modmath.CrtPair(0, 5, 0, 7)) == 0
+    assert modmath.crt_combine([0, 0], [5, 7]) == 0
     p1, p2 = modmath.DEFAULT_MODULI
-    assert modmath.crt_combine(modmath.CrtPair(p1 - 1, p1, p2 - 1, p2)) == -1
+    assert modmath.crt_combine([p1 - 1, p2 - 1], [p1, p2]) == -1
+    # three moduli, P = 105: 52 is kept, 53 lies above P // 2
+    assert modmath.crt_combine([52 % 3, 52 % 5, 52 % 7], [3, 5, 7]) == 52
+    assert modmath.crt_combine([53 % 3, 53 % 5, 53 % 7], [3, 5, 7]) == 53 - 105
 
 
 def test_crt_combine_bijective_on_random_samples():
@@ -219,5 +222,4 @@ def test_crt_combine_bijective_on_random_samples():
     half = p1 * p2 // 2
     for _ in range(10000):
         x = rng.randrange(-half + 1, half + 1)
-        pair = modmath.CrtPair(x % p1, p1, x % p2, p2)
-        assert modmath.crt_combine(pair) == x
+        assert modmath.crt_combine([x % p1, x % p2], [p1, p2]) == x

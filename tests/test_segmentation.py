@@ -52,15 +52,21 @@ def test_factored_cell_index_examples():
     assert seg.cell_index(42, params) == 5
 
 
+def cell_counts(params):
+    """Entry k counts the integers in cell k, for k <= top_cell."""
+    return np.array([params.cell_top(k) - params.cell_top(k - 1)
+                     for k in range(params.top_cell + 1)])
+
+
 def test_cell_counts_power_of_two_delta():
     params = seg.make_params(256, Fraction(1))
-    counts = seg.cell_counts(params)
+    counts = cell_counts(params)
     assert counts.tolist() == [1, 2, 4, 8, 16, 32, 64, 128, 256][:params.top_cell + 1]
 
 
 def test_cell_counts_half_delta_and_telescoping():
     params = seg.make_params(64, Fraction(1, 2))
-    counts = seg.cell_counts(params)
+    counts = cell_counts(params)
     assert counts[:5].tolist() == [1, 0, 1, 1, 2]
     # prefix sums telescope to ceil(2^(delta*(K+1))) - 1
     run = 0
@@ -73,7 +79,7 @@ def test_cell_counts_match_enumeration():
     for limit, delta in ((4000, Fraction(1, 3)), (4000, Fraction(2, 25)),
                          (4000, Fraction(1, 40)), (10 ** 6, Fraction(1, 48))):
         params = seg.make_params(limit, delta)
-        counts = seg.cell_counts(params)
+        counts = cell_counts(params)
         ns = np.arange(1, limit + 1, dtype=np.uint64)
         cells = seg.cell_index_vec(ns, params)
         enum = np.bincount(cells, minlength=params.top_cell + 1)
@@ -210,8 +216,10 @@ def test_cell_tops_and_floors_consistent():
         if lo > 1:
             assert seg.cell_index(lo - 1, params) < k
     assert params.cell_top(-1) == 0
-    assert seg.prefix_cell_counts(params, -1) == 0
-    assert seg.prefix_cell_counts(params, 3) == params.bounds[4] - 1
+    # cell_top(k) counts the integers n >= 1 with cell_index(n) <= k
+    assert params.cell_top(3) == params.bounds[4] - 1
+    assert params.cell_top(3) == sum(
+        1 for n in range(1, params.bounds[5]) if seg.cell_index(n, params) <= 3)
 
 
 def test_delta_one_boundaries_exact_powers():

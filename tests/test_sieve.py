@@ -58,8 +58,8 @@ def test_primes_up_to_1e6_count_two_routes():
 
 def test_mu_table_examples():
     mu = sieve.mu_up_to(6)
-    assert [mu[i] for i in range(1, 7)] == [1, -1, -1, 0, -1, 1]
-    assert mu[4] == 0
+    assert mu.values[1:7].tolist() == [1, -1, -1, 0, -1, 1]
+    assert mu.values[4] == 0
     assert mu.prefix_sum(1) == 1
     big = sieve.mu_up_to(10 ** 5)
     for n in random.Random(9).sample(range(1, 10 ** 5), 60):
@@ -67,7 +67,7 @@ def test_mu_table_examples():
         expect = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
         if n == 1:
             expect = 1
-        assert big[n] == expect
+        assert big.values[n] == expect
 
 
 def test_mu_matches_factorizations():
@@ -76,7 +76,7 @@ def test_mu_matches_factorizations():
         fac = trial_factor(n)
         sq = all(e == 1 for _, e in fac)
         expect = (-1) ** len(fac) if sq else 0
-        assert mu[n] == expect
+        assert mu.values[n] == expect
 
 
 def _check_screen(params, bound, lo, hi, step):

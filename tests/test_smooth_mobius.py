@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from primeconv import modmath, segmentation as seg, sieve, smooth_mobius as sm
+from primeconv import counting, modmath, oracles, segmentation as seg, sieve
+from primeconv import smooth_mobius as sm
 
 P1, P2 = modmath.DEFAULT_MODULI
+UNIT = counting.MultiplicativeWeight.unit()
 
 
 def enum_mobius_cells(prime_list, cells, top, signs=None):
@@ -42,27 +44,47 @@ def enum_product_arrays(prime_list, cells, top, r_max):
     return out
 
 
+def dilate(e1, r):
+    """Entry i of the order-1 array moved to index r*i, overflow dropped."""
+    out = np.zeros_like(e1)
+    out[::r] = e1[:(len(e1) - 1) // r + 1]
+    return out
+
+
 def test_prime_cell_sums_examples():
     params = seg.make_params(25, Fraction(1))
-    arr = sm.prime_cell_sums([2, 3, 5], params)
+    arr = sm.prime_cell_sums([2, 3, 5], params, P1)
     assert arr[:3].tolist() == [0, 2, 1]
-    assert sm.prime_cell_sums([], params).sum() == 0
+    assert sm.prime_cell_sums([], params, P1).sum() == 0
 
     class WeightN:
         def prime_power_values(self, primes, r, modulus):
             vals = np.asarray(primes, dtype=np.int64) ** r
-            return vals if modulus is None else (vals % modulus).astype(np.uint64)
+            return (vals % modulus).astype(np.uint64)
 
-    arr = sm.prime_cell_sums([2, 3], params, weight=WeightN())
+    arr = sm.prime_cell_sums([2, 3], params, P1, weight=WeightN())
     assert arr[1] == 5
+    arr = sm.prime_cell_sums([2, 3], params, 7, weight=WeightN(), power=2)
+    assert arr[2] == (4 + 9) % 7
 
 
 def test_dilate_examples():
-    e1 = np.array([0, 2, 1], dtype=np.int64)
-    assert sm.dilate_prime_cells(e1, 2).tolist() == [0, 0, 2]
-    e1 = np.array([0, 2, 1, 0, 0], dtype=np.int64)
-    assert sm.dilate_prime_cells(e1, 2).tolist() == [0, 0, 2, 0, 1]
-    assert sm.dilate_prime_cells(e1, 1).tolist() == e1.tolist()
+    # the unit weight's order-r prime-power array, which the Fourier path
+    # reads off the order-1 transform, is the order-1 array dilated by r
+    params = seg.make_params(25, Fraction(1))
+    e1 = sm.prime_cell_sums([2, 3, 5], params, P1)
+    assert e1.tolist() == [0, 2, 1, 0, 0]
+    assert dilate(e1, 2).tolist() == [0, 0, 2, 0, 1]
+    assert dilate(e1, 1).tolist() == e1.tolist()
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randrange(50, 10 ** 4)
+        params = seg.make_params(n, Fraction(1, rng.randrange(3, 100)))
+        primes = sieve.primes_up_to(math.isqrt(n))
+        e1 = sm.prime_cell_sums(primes, params, P1)
+        for r in (2, 3, 5):
+            er = sm.prime_cell_sums(primes, params, P1, weight=UNIT, power=r)
+            assert np.array_equal(er, dilate(e1, r)), (n, r)
 
 
 def test_dilation_reads_off_fourier_transform():
@@ -75,7 +97,7 @@ def test_dilation_reads_off_fourier_transform():
         base[rng.randrange(length // 8)] += 1
     e1t = modmath.ntt_forward(base, ctx)
     for r in (2, 3, 5):
-        er = sm.dilate_prime_cells(base, r)
+        er = dilate(base, r)
         ert = modmath.ntt_forward(er, ctx)
         idx = (np.arange(length, dtype=np.int64) * r) % length
         assert np.array_equal(ert, e1t[idx])
@@ -83,16 +105,14 @@ def test_dilation_reads_off_fourier_transform():
 
 def test_newton_direct_example_and_identities():
     # primes {2,3,5} at unit precision: products of two cells land as expected
-    params = seg.make_params(36, Fraction(1))
-    top = params.top_cell
-    e1 = sm.prime_cell_sums([2, 3, 5], params)
-    es = [sm.dilate_prime_cells(e1, r) for r in range(1, 4)]
-    cs = sm.newton_direct(es, 3)
+    top = seg.make_params(36, Fraction(1)).top_cell
+    cs = oracles.newton_direct([2, 3, 5], 36, Fraction(1), 3)
     assert cs[0].tolist() == [1] + [0] * top
+    assert cs[1][:4].tolist() == [0, 2, 1, 0]
     assert cs[2][:4].tolist() == [0, 0, 1, 2]
-    # order-2 identity: 2*C2 = C1 conv C1 - E2
+    # order-2 identity: 2*C2 = C1 conv C1 - E2, E2 = C1 dilated by 2
     lhs = 2 * cs[2]
-    rhs = (np.convolve(cs[1], cs[1])[:top + 1] - es[1])
+    rhs = (np.convolve(cs[1], cs[1])[:top + 1] - dilate(cs[1], 2))
     assert np.array_equal(lhs, rhs)
 
 
@@ -105,9 +125,7 @@ def test_newton_direct_matches_enumeration_small_bounds():
             primes = [int(p) for p in sieve.primes_up_to(bound)]
             cells = [seg.cell_index(p, params) for p in primes]
             r_max = min(len(primes), top)
-            e1 = sm.prime_cell_sums(primes, params)
-            es = [sm.dilate_prime_cells(e1, r) for r in range(1, r_max + 1)]
-            cs = sm.newton_direct(es, r_max)
+            cs = oracles.newton_direct(primes, n, delta, r_max)
             ref = enum_product_arrays(primes, cells, top, r_max)
             for r in range(r_max + 1):
                 assert np.array_equal(cs[r], ref[r]), (bound, delta, r)
@@ -118,9 +136,9 @@ def test_newton_residual_holds_arraywise():
     top = params.top_cell
     primes = [int(p) for p in sieve.primes_up_to(100)]
     r_max = 6
-    e1 = sm.prime_cell_sums(primes, params)
-    es = [sm.dilate_prime_cells(e1, r) for r in range(1, r_max + 1)]
-    cs = sm.newton_direct(es, r_max)
+    e1 = sm.prime_cell_sums(primes, params, P1).astype(np.int64)
+    es = [dilate(e1, r) for r in range(1, r_max + 1)]
+    cs = oracles.newton_direct(primes, 10 ** 4, Fraction(1, 12), r_max)
     for r in range(1, r_max + 1):
         acc = np.zeros(top + 1, dtype=np.int64)
         for j in range(1, r + 1):
@@ -165,9 +183,7 @@ def test_smooth_mobius_matches_newton_direct_random_configs():
                 continue
             r_cap = min(len(primes),
                         top // seg.cell_index(int(primes[0]), params))
-            e1 = sm.prime_cell_sums(primes, params, modulus=p)
-            es = [sm.dilate_prime_cells(e1, r) for r in range(1, r_cap + 1)]
-            cs = sm.newton_direct(es, r_cap, modulus=p)
+            cs = oracles.newton_direct(primes, n, delta, r_cap)
             acc = np.zeros(top + 1, dtype=np.int64)
             for r, c in enumerate(cs):
                 acc += (c.astype(np.int64) if r % 2 == 0 else -c.astype(np.int64))
@@ -175,14 +191,17 @@ def test_smooth_mobius_matches_newton_direct_random_configs():
 
 
 def test_partition_independence():
+    # the size-range split gives the array of one range over all primes
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randrange(100, 10 ** 4)
         delta = Fraction(1, rng.randrange(3 * n.bit_length(), 200))
         params = seg.make_params(n, delta)
         primes = sieve.primes_up_to(math.isqrt(n))
-        one = sm.smooth_mobius_cells(primes, params, P1, partition=False)
-        many = sm.smooth_mobius_cells(primes, params, P1, partition=True)
+        whole = sm._make_partition(primes, 0, len(primes), params)
+        one = sm._partition_mobius(primes, whole, params, P1, None)
+        many = sm.smooth_mobius_cells(primes, params, P1)
+        assert len(sm.make_partitions(primes, params)) > 1
         assert np.array_equal(one, many), (n, delta)
 
 
