@@ -347,6 +347,7 @@ def _prime_sum_result(function, n, weight, config, extra):
         residues.append((a - err - 1 + tail) % p)
     value = modmath.crt_combine(residues, moduli)
     timings["combine"] = time.perf_counter() - t0
+    extra["transform_length"] = smooth_mobius.transform_length(primes, params)
     return ResultBundle(function, n, value, params.delta, params.window,
                         tuple(moduli), timings, extra)
 
@@ -466,7 +467,9 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     timings["combine"] = time.perf_counter() - t0
     return ResultBundle("pi-mod", n, value, params.delta, params.window,
                         tuple(pair), timings,
-                        {"modulus": modulus, "residue": residue})
+                        {"modulus": modulus, "residue": residue,
+                         "transform_length":
+                             smooth_mobius.transform_length(primes, params)})
 
 
 def count_primes_mod(n, modulus, residue, config=None):

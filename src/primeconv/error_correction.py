@@ -37,7 +37,8 @@ def _chunk_ranges(lo, hi, chunk):
 def _auto_chunk(total, chunk_size):
     if chunk_size:
         return chunk_size
-    return max(1 << 20, (total >> 3) + 1)
+    # capped: a worker holds one chunk at about 30 bytes per entry
+    return min(1 << 22, max(1 << 20, (total >> 3) + 1))
 
 
 def map_ordered(fn, items, threads):

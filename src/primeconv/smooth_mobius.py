@@ -4,9 +4,13 @@ The cell array of the truncated Mobius function (optionally weighted by a
 completely multiplicative function) is assembled from arrays counting products
 of r distinct primes. Those satisfy a Newton-identities-style recurrence
 against the arrays of r-th prime powers, which is solved per Fourier
-coefficient as a power-series exponential, with the primes split into size
-ranges to keep transform padding small. `oracles.newton_direct` solves the
-same recurrence in the time domain as the independent reference.
+coefficient as a power-series exponential. The primes are split into size
+ranges so that each range needs only a few orders r. Every range works at one
+shared power-of-two transform length, long enough for the product of all the
+ranges' alternating sums, so the ranges multiply pointwise into one
+accumulator that a single inverse transform ends; the exponentials run over
+BLOCK Fourier columns at a time. `oracles.newton_direct` solves the same
+recurrence in the time domain as the independent reference.
 """
 
 import math
@@ -17,10 +21,15 @@ import numpy as np
 from . import modmath, segmentation
 
 
+# Fourier columns per block of the power-series exponentials: bounds the
+# (r_used + 1) x BLOCK stacks they work on, whatever the transform length
+BLOCK = 1 << 12
+
+
 @dataclass(frozen=True)
 class PrimePartition:
     """One size range of primes: indices [lo, hi) into the prime array,
-    truncation order r_used, and the padded transform length."""
+    truncation order r_used, and the transform length shared by all ranges."""
     lo: int
     hi: int
     r_used: int
@@ -55,15 +64,29 @@ def make_partitions(primes, params):
     Range m covers log2(p) in [log2(n)/2^(m+1), log2(n)/2^m); the truncation
     order per range is the largest r with r * cell_index(p_min) <= top_cell
     (products of more primes from the range always land above the truncation),
-    also capped by the number of primes in the range.
+    also capped by the number of primes in the range. Every range gets the
+    same transform length, `transform_length(primes, params)`.
     """
+    ranges = _size_ranges(primes, params)
+    length = _shared_length(ranges)
+    return [PrimePartition(lo, hi, r_used, length)
+            for lo, hi, r_used, _ in ranges]
+
+
+def transform_length(primes, params):
+    """The power-of-two length of every transform of smooth_mobius_cells."""
+    return _shared_length(_size_ranges(primes, params))
+
+
+def _size_ranges(primes, params):
+    """(lo, hi, r_used, kb_max) per size range, largest primes first."""
     n = params.n
     if len(primes) == 0:
         return []
     log2n = math.log2(n)
     m_max = max(1, int(math.log2(log2n)) if log2n > 1 else 1)
     edges = [2.0 ** (log2n / 2 ** m) for m in range(1, m_max + 1)]
-    parts = []
+    ranges = []
     hi = len(primes)
     for m in range(1, m_max + 1):
         if m == m_max:
@@ -71,25 +94,28 @@ def make_partitions(primes, params):
         else:
             lo = int(np.searchsorted(primes, edges[m], side="right"))
         if lo < hi:
-            parts.append(_make_partition(primes, lo, hi, params))
+            ranges.append(_size_range(primes, lo, hi, params))
         hi = lo
         if hi == 0:
             break
-    return parts
+    return ranges
 
 
-def _make_partition(primes, lo, hi, params):
-    top = params.top_cell
+def _size_range(primes, lo, hi, params):
     kb_min = segmentation.cell_index(int(primes[lo]), params)
     if kb_min < 1:
         raise ValueError("delta must keep every prime above cell 0")
-    r_used = min(top // kb_min, hi - lo)
+    r_used = min(params.top_cell // kb_min, hi - lo)
     kb_max = segmentation.cell_index(int(primes[hi - 1]), params)
-    need = r_used * (kb_max + 1) + top + 1
-    pad = 1
-    while pad < need:
-        pad *= 2
-    return PrimePartition(lo=lo, hi=hi, r_used=r_used, pad_length=pad)
+    return lo, hi, r_used, kb_max
+
+
+def _shared_length(ranges):
+    """Smallest power of two above sum(r_used * kb_max): range i's
+    alternating sum lives in cells [0, r_used * kb_max], so the product of
+    all of them fits without wraparound."""
+    need = 1 + sum(r_used * kb_max for _, _, r_used, kb_max in ranges)
+    return 1 << (need - 1).bit_length()
 
 
 def smooth_mobius_cells(primes, params, modulus, *, weight=None):
@@ -105,60 +131,45 @@ def smooth_mobius_cells(primes, params, modulus, *, weight=None):
         raise ValueError("smooth Mobius cells need delta <= 1/2")
     top = params.top_cell
     primes = np.asarray(primes, dtype=np.int64)
-    pieces = [_partition_mobius(primes, part, params, modulus, weight)
-              for part in make_partitions(primes, params)]
-    if not pieces:
-        out = np.zeros(top + 1, dtype=np.uint64)
-        out[0] = 1
-        return out
-    # pairwise balanced merge, truncating every intermediate to top_cell + 1
-    while len(pieces) > 1:
-        merged = []
-        for i in range(0, len(pieces) - 1, 2):
-            conv = modmath.convolve_mod(pieces[i], pieces[i + 1], modulus)
-            merged.append(conv[:top + 1])
-        if len(pieces) % 2:
-            merged.append(pieces[-1])
-        pieces = merged
+    parts = make_partitions(primes, params)
+    # one accumulator at the shared length, ended by one inverse transform
+    ctx = modmath.get_context(modulus, parts[0].pad_length if parts else 1)
+    acc = np.ones(ctx.length, dtype=np.uint64)
+    for part in parts:
+        _multiply_partition(acc, primes[part.lo:part.hi], part.r_used,
+                            params, ctx, weight)
     out = np.zeros(top + 1, dtype=np.uint64)
-    res = pieces[0][:top + 1]
+    res = modmath.ntt_inverse(acc, ctx)[:top + 1]
     out[:len(res)] = res
     return out
 
 
-def _partition_mobius(primes, part, params, modulus, weight):
-    top = params.top_cell
+def _multiply_partition(acc, sub, r_used, params, ctx, weight):
+    """Multiply the transform `acc` by that of sum_r (-1)^r c_r, where c_r
+    counts products of r distinct primes of `sub`, BLOCK columns at a time."""
+    modulus, length = ctx.modulus, ctx.length
     p = np.uint64(modulus)
-    sub = primes[part.lo:part.hi]
-    r_used = part.r_used
-    length = part.pad_length
-    ctx = modmath.get_context(modulus, length)
-    if r_used == 0:
-        out = np.zeros(top + 1, dtype=np.uint64)
-        out[0] = 1
-        return out
-    # Fourier transforms of the order-r prime-power arrays
-    e_tilde = np.empty((r_used + 1, length), dtype=np.uint64)
-    e_tilde[0] = 0
     if weight is None or weight.is_unit:
         # the order-r array of the unit weight dilates the order-1 array by r
-        base = prime_cell_sums(sub, params, modulus, length=length)
-        e1t = modmath.ntt_forward(base, ctx)
-        idx = np.arange(length, dtype=np.int64)
-        for r in range(1, r_used + 1):
-            e_tilde[r] = e1t[(idx * r) % length]
+        e1t = modmath.ntt_forward(
+            prime_cell_sums(sub, params, modulus, length=length), ctx)
+
+        def e_tilde(r, cols):
+            return e1t[cols * r % length]
     else:
+        ets = [modmath.ntt_forward(
+            prime_cell_sums(sub, params, modulus, weight=weight, power=r,
+                            length=length), ctx) for r in range(1, r_used + 1)]
+
+        def e_tilde(r, cols):
+            return ets[r - 1][cols]
+    # exp(-sum_r e_r x^r / r) has coefficients (-1)^r c_r, so the
+    # alternating sum is the plain sum of its coefficients
+    neg_inv = [0] + [modulus - pow(r, -1, modulus) for r in range(1, r_used + 1)]
+    for start in range(0, length, BLOCK):
+        cols = np.arange(start, min(start + BLOCK, length))
+        f = np.zeros((r_used + 1, len(cols)), dtype=np.uint64)
         for r in range(1, r_used + 1):
-            arr = prime_cell_sums(sub, params, modulus, weight=weight,
-                                  power=r, length=length)
-            e_tilde[r] = modmath.ntt_forward(arr, ctx)
-    # alternating signs folded into the series: f_r = (-1)^(r-1) e_r / r
-    f = np.zeros_like(e_tilde)
-    for r in range(1, r_used + 1):
-        row = e_tilde[r] * np.uint64(pow(r, -1, modulus)) % p
-        f[r] = row if r % 2 == 1 else (p - row) % p
-    c = modmath.power_series_exp(f, r_used + 1, modulus)
-    acc = np.zeros(length, dtype=np.uint64)
-    for r in range(r_used + 1):
-        acc = (acc + (c[r] if r % 2 == 0 else (p - c[r]) % p)) % p
-    return modmath.ntt_inverse(acc, ctx)[:top + 1]
+            f[r] = e_tilde(r, cols) * np.uint64(neg_inv[r]) % p
+        c = modmath.power_series_exp(f, r_used + 1, modulus)
+        acc[cols] = acc[cols] * (c.sum(axis=0) % p) % p

@@ -1,6 +1,7 @@
 import json
+import math
 
-from primeconv import cli, counting
+from primeconv import cli, counting, oracles, segmentation, sieve, smooth_mobius
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,30 @@ def test_json_schema(capsys):
     code, out, _ = run_cli(capsys, "--json", "sum-primes", "50", "--power", "2")
     obj = json.loads(out)
     assert obj["power"] == 2
+
+
+def test_json_carries_transform_length_and_plain_output_does_not(capsys):
+    n = 200_000
+    params = segmentation.make_params(
+        n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
+    primes = sieve.primes_up_to(math.isqrt(n))
+    (length,) = {part.pad_length
+                 for part in smooth_mobius.make_partitions(primes, params)}
+    counting._char_pipeline_cache.clear()
+    # the second pi-mod residue reuses the cached character pipeline
+    cases = ((["pi", str(n)], oracles.pi_naive(n)),
+             (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1)),
+             (["pi-mod", str(n), "--modulus", "4", "--residue", "1"],
+              oracles.pi_mod_naive(n, 4, 1)),
+             (["pi-mod", str(n), "--modulus", "4", "--residue", "3"],
+              oracles.pi_mod_naive(n, 4, 3)))
+    for argv, value in cases:
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["result"] == value and obj["transform_length"] == length, argv
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == f"{value}\n", argv
 
 
 def test_usage_errors_exit_2(capsys):

@@ -119,6 +119,16 @@ def test_pairs_deterministic_across_chunking():
     assert len(vals) == 1
 
 
+def test_auto_chunk_is_capped():
+    for total in (0, 1, 10 ** 5, 3 * 10 ** 7, 9 * 10 ** 7, 10 ** 12):
+        assert ec._auto_chunk(total, None) <= 1 << 22, total
+    # the default windows: S / 8 + 1 at 10^10, the cap at 10^11
+    assert ec._auto_chunk(27_669_229, None) == 3_458_654
+    assert ec._auto_chunk(90_019_696, None) == 1 << 22
+    # an explicit chunk size still wins
+    assert ec._auto_chunk(10 ** 12, 1 << 23) == 1 << 23
+
+
 class WeightN:
     """The weight h(m) = m, with prefix sums x(x+1)/2 mod p."""
 

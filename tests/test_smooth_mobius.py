@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 from primeconv import smooth_mobius as sm
@@ -165,6 +167,15 @@ def test_smooth_mobius_cells_n36_bruteforce():
     assert np.array_equal(got, ref % P1)
 
 
+def alternating_newton(primes, n, delta, params, modulus):
+    """Reference: sum_r (-1)^r C_r from the time-domain recurrence."""
+    r_cap = min(len(primes), params.top_cell // seg.cell_index(int(primes[0]), params))
+    acc = np.zeros(params.top_cell + 1, dtype=np.int64)
+    for r, c in enumerate(oracles.newton_direct(primes, n, delta, r_cap)):
+        acc += c.astype(np.int64) if r % 2 == 0 else -c.astype(np.int64)
+    return acc % modulus
+
+
 def test_smooth_mobius_matches_newton_direct_random_configs():
     rng = random.Random(42)
     for _ in range(50):
@@ -181,16 +192,11 @@ def test_smooth_mobius_matches_newton_direct_random_configs():
                 expect[0] = 1
                 assert np.array_equal(got, expect)
                 continue
-            r_cap = min(len(primes),
-                        top // seg.cell_index(int(primes[0]), params))
-            cs = oracles.newton_direct(primes, n, delta, r_cap)
-            acc = np.zeros(top + 1, dtype=np.int64)
-            for r, c in enumerate(cs):
-                acc += (c.astype(np.int64) if r % 2 == 0 else -c.astype(np.int64))
-            assert np.array_equal(got, acc % p), (n, delta)
+            expect = alternating_newton(primes, n, delta, params, p)
+            assert np.array_equal(got, expect), (n, delta)
 
 
-def test_partition_independence():
+def test_partition_independence(monkeypatch):
     # the size-range split gives the array of one range over all primes
     rng = random.Random(5)
     for _ in range(10):
@@ -198,10 +204,13 @@ def test_partition_independence():
         delta = Fraction(1, rng.randrange(3 * n.bit_length(), 200))
         params = seg.make_params(n, delta)
         primes = sieve.primes_up_to(math.isqrt(n))
-        whole = sm._make_partition(primes, 0, len(primes), params)
-        one = sm._partition_mobius(primes, whole, params, P1, None)
         many = sm.smooth_mobius_cells(primes, params, P1)
         assert len(sm.make_partitions(primes, params)) > 1
+        whole = sm._size_range(primes, 0, len(primes), params)
+        part = sm.PrimePartition(*whole[:3], sm._shared_length([whole]))
+        with monkeypatch.context() as m:
+            m.setattr(sm, "make_partitions", lambda *args: [part])
+            one = sm.smooth_mobius_cells(primes, params, P1)
         assert np.array_equal(one, many), (n, delta)
 
 
@@ -223,35 +232,96 @@ def test_cell_mass_matches_enumeration_across_deltas():
             assert np.array_equal(got, ref % P2), (n, j)
 
 
+class WeightN:
+    """The completely multiplicative weight h(m) = m."""
+    is_unit = False
+
+    def prime_power_values(self, primes, r, modulus):
+        vals = np.asarray(primes, dtype=np.uint64) % np.uint64(modulus)
+        out = np.ones(len(vals), dtype=np.uint64)
+        for _ in range(r):
+            out = out * vals % np.uint64(modulus)
+        return out
+
+
+def weighted_mobius_cells(primes, params):
+    """Reference: scatter m * mu(m) over square-free products by cell."""
+    top = params.top_cell
+    cells = [seg.cell_index(p, params) for p in primes]
+    ref = np.zeros(top + 1, dtype=np.int64)
+
+    def walk(i, k, val, sign):
+        ref[k] += sign * val
+        for j in range(i, len(primes)):
+            nk = k + cells[j]
+            if nk > top:
+                continue
+            walk(j + 1, nk, val * primes[j], -sign)
+
+    walk(0, 0, 1, 1)
+    return ref
+
+
 def test_generalized_weight_matches_weighted_bruteforce():
-    class WeightN:
-        is_unit = False
-
-        def prime_power_values(self, primes, r, modulus):
-            vals = np.asarray(primes, dtype=np.uint64) % np.uint64(modulus)
-            out = np.ones(len(vals), dtype=np.uint64)
-            for _ in range(r):
-                out = out * vals % np.uint64(modulus)
-            return out
-
     rng = random.Random(12)
     for _ in range(8):
         n = rng.randrange(50, 10 ** 4)
         delta = Fraction(1, rng.randrange(3 * n.bit_length(), 150))
         params = seg.make_params(n, delta)
-        top = params.top_cell
         primes = [int(p) for p in sieve.primes_up_to(math.isqrt(n))]
-        cells = [seg.cell_index(p, params) for p in primes]
-        ref = np.zeros(top + 1, dtype=np.int64)
-
-        def walk(i, k, val, sign):
-            ref[k] += sign * val
-            for j in range(i, len(primes)):
-                nk = k + cells[j]
-                if nk > top:
-                    continue
-                walk(j + 1, nk, val * primes[j], -sign)
-
-        walk(0, 0, 1, 1)
+        ref = weighted_mobius_cells(primes, params)
         got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
         assert np.array_equal(got, ref % P1), (n, delta)
+
+
+@pytest.mark.parametrize("block", [5, 48])
+def test_column_blocks_match_references(monkeypatch, block):
+    # blocks of 48 never divide a power-of-two length, so the last is partial
+    monkeypatch.setattr(sm, "BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(6):
+        n = rng.randrange(200, 10 ** 4)
+        delta = Fraction(1, rng.randrange(3 * n.bit_length(), 200))
+        params = seg.make_params(n, delta)
+        primes = sieve.primes_up_to(math.isqrt(n))
+        assert sm.transform_length(primes, params) > 2 * block, (n, delta)
+        for p in (P1, P2):
+            got = sm.smooth_mobius_cells(primes, params, p)
+            expect = alternating_newton(primes, n, delta, params, p)
+            assert np.array_equal(got, expect), (n, delta, p)
+        got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
+        ref = weighted_mobius_cells([int(q) for q in primes], params)
+        assert np.array_equal(got, ref % P1), (n, delta)
+
+
+def test_partitions_share_the_smallest_sufficient_length():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randrange(50, 10 ** 9)
+        delta = Fraction(1, rng.randrange(2 * n.bit_length(), 40 * n.bit_length()))
+        params = seg.make_params(n, delta)
+        primes = sieve.primes_up_to(math.isqrt(n))
+        parts = sm.make_partitions(primes, params)
+        length = sm.transform_length(primes, params)
+        need = 1 + sum(part.r_used * seg.cell_index(int(primes[part.hi - 1]), params)
+                       for part in parts)
+        assert all(part.pad_length == length for part in parts), (n, delta)
+        assert length >= need and length // 2 < need, (n, delta)
+        assert length & (length - 1) == 0
+
+
+@pytest.mark.parametrize("weight", [UNIT, counting.MultiplicativeWeight.power(1)],
+                         ids=["unit", "power1"])
+def test_transform_memory_stays_blocked(weight):
+    # one length-L accumulator plus a partition's transforms and the NTT's
+    # temporaries, not (r_used + 1) x pad stacks: L = 2^17 at 10^9
+    n = 10 ** 9
+    params = seg.make_params(n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
+    primes = sieve.primes_up_to(math.isqrt(n))
+    tracemalloc.start()
+    try:
+        sm.smooth_mobius_cells(primes, params, P1, weight=weight)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20, peak
