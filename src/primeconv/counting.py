@@ -348,8 +348,17 @@ def _prime_sum_result(function, n, weight, config, extra):
     value = modmath.crt_combine(residues, moduli)
     timings["combine"] = time.perf_counter() - t0
     extra["transform_length"] = smooth_mobius.transform_length(primes, params)
+    extra.update(_correction_extra(params, config))
     return ResultBundle(function, n, value, params.delta, params.window,
                         tuple(moduli), timings, extra)
+
+
+def _correction_extra(params, config):
+    """The pair correction's chunk and worker counts, for --json."""
+    _, _, chunks, workers = error_correction.correction_plan(
+        params, math.isqrt(params.n), config.chunk_size,
+        config.resolved_threads())
+    return {"correction_chunks": chunks, "correction_workers": workers}
 
 
 def count_primes_result(n, config=None):
@@ -469,7 +478,8 @@ def count_primes_mod_result(n, modulus, residue, config=None):
                         tuple(pair), timings,
                         {"modulus": modulus, "residue": residue,
                          "transform_length":
-                             smooth_mobius.transform_length(primes, params)})
+                             smooth_mobius.transform_length(primes, params),
+                         **_correction_extra(params, config)})
 
 
 def count_primes_mod(n, modulus, residue, config=None):

@@ -34,11 +34,44 @@ def _chunk_ranges(lo, hi, chunk):
         start = stop
 
 
+# peak bytes a correction job holds per chunk entry: 22 with the unit weight
+# and 26 with a power weight (tracemalloc, one worker, at 10^9 and 10^10),
+# most of it the window job's screen; all workers' chunks share one budget
+_JOB_BYTES = 32
+_MEMORY_BUDGET = 512 << 20
+
+# entries per block of a divisor job's interval arrays
+_DIVISOR_BLOCK = 1 << 18
+
+
 def _auto_chunk(total, chunk_size):
     if chunk_size:
         return chunk_size
-    # capped: a worker holds one chunk at about 30 bytes per entry
+    # capped: at 2^22 entries one job peaks near 90 MB (unit weight), and
+    # longer chunks are slower, not faster: pairs_correction(10^11) took
+    # 7.3-7.6 s with this cap and 12.4-12.8 s with S/8 = 11.25M-entry
+    # chunks (2 threads, 2-CPU VM)
     return min(1 << 22, max(1 << 20, (total >> 3) + 1))
+
+
+def correction_plan(params, bound, chunk_size=None, threads=1):
+    """(cap_x, chunk, chunks, workers) of pairs_correction: the divisor split
+    cap_x, the chunk length, the number of chunk jobs over (0, cap_x] and
+    (n, n + S], and the worker threads that run them. Workers never exceed
+    the jobs, and workers x chunk x _JOB_BYTES stays within _MEMORY_BUDGET.
+    An empty window has no jobs and no workers."""
+    window = params.window
+    cap_x = max(window, (params.n + window) // bound)
+    chunk = _auto_chunk(window, chunk_size)
+    if window <= 0:
+        return cap_x, chunk, 0, 0
+    chunks = -(-cap_x // chunk) + -(-window // chunk)
+    if cap_x <= chunk:
+        # one chunk per range (cap_x >= S): two short jobs, which contend for
+        # the interpreter lock more than a second worker saves
+        return cap_x, chunk, chunks, 1
+    budget = max(1, _MEMORY_BUDGET // (chunk * _JOB_BYTES))
+    return cap_x, chunk, chunks, min(threads, chunks, budget)
 
 
 def map_ordered(fn, items, threads):
@@ -67,39 +100,47 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
     Each chunk of (0, cap_x] and of (n, n + S] is one job whose partial sums
     (one Python int per modulus, or one exact int) are added up in chunk
     order and reduced once. When a range spans more than one chunk, the jobs
-    run on up to `threads` worker threads, one chunk in memory per worker.
+    run on up to `threads` worker threads, one chunk in memory per worker;
+    correction_plan caps the workers by a memory budget.
     """
     n = params.n
     window = params.window
     unit = weight is None or weight.is_unit
     width = 1 if unit else len(moduli)
-    if window <= 0:
+    cap_x, chunk, chunks, workers = correction_plan(
+        params, bound, chunk_size, threads)
+    if not chunks:
         return _reduced([0] * width, moduli)
     top = params.top_cell
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
-    cap_x = max(window, (n + window) // bound)
     d1_max = (n + window) // (cap_x + 1)
-    chunk = _auto_chunk(window, chunk_size)
     res_m, res_r = residue if residue else (0, 0)
     if res_m:
         inv_table = _inverse_table(res_m)
 
     def divisor_job(lo, hi):
         smooth, kh, sign, sqfree, _ = sieve.screen_chunk(lo, hi, primes, pcells)
-        idx = np.flatnonzero(smooth & sqfree & (kh <= top))
-        d2 = idx + (lo + 1)
-        cap = params.bounds_np[(top - kh[idx]) + 1].astype(np.int64) - 1
+        part = [0] * width
+        # built for the whole chunk at once, the interval arrays raised a
+        # job's peak from the 7 bytes per entry its screen keeps to 34 (at
+        # 10^10): build them one block at a time
+        for a in range(0, hi - lo, _DIVISOR_BLOCK):
+            b = a + _DIVISOR_BLOCK
+            idx = np.flatnonzero(smooth[a:b] & sqfree[a:b] & (kh[a:b] <= top)) + a
+            sums = divisor_sums(idx + (lo + 1), kh[idx], sign[idx])
+            part = [x + y for x, y in zip(part, sums)]
+        return part
+
+    def divisor_sums(d2, kd2, sd2):
+        cap = params.bounds_np[(top - kd2) + 1].astype(np.int64) - 1
         upper = np.minimum((n + window) // d2, cap)
         lower = n // d2
         live = upper > lower
         d2, upper, lower = d2[live], upper[live], lower[live]
         if len(d2) == 0:
             return [0] * width
-        sg = sign[idx[live]].astype(np.int64)
-        # free the screen before the per-modulus sums: another worker may
-        # hold a chunk at the same time
-        del smooth, kh, sign, sqfree, idx
+        sg = sd2[live].astype(np.int64)
         if unit and not res_m:
             return [int(np.sum(sg * (upper - lower)))]
         if res_m:
@@ -168,11 +209,7 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
 
     jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
-    if cap_x <= chunk:
-        # one chunk per range (cap_x >= S): two short jobs, which contend for
-        # the interpreter lock more than a second worker saves
-        threads = 1
-    parts = map_ordered(lambda job: job[0](job[1], job[2]), jobs, threads)
+    parts = map_ordered(lambda job: job[0](job[1], job[2]), jobs, workers)
     return _reduced([sum(col) for col in zip(*parts)], moduli)
 
 

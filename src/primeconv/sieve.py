@@ -3,7 +3,9 @@
 screen_chunk is the one service over intervals: it sieves a stretch of
 integers against the primes up to a bound and returns vectorized per-integer
 summaries (smoothness, square-freeness, sign, cell-index sums), which the pair
-correction consumes without ever materializing factorizations.
+correction consumes without ever materializing factorizations. Each prime
+power costs one strided add into one packed int32 per integer, and
+smoothness is read off the cell sum alone.
 """
 
 import math
@@ -66,10 +68,18 @@ def prime_cell_indices(primes, params):
     return segmentation.cell_index_vec(np.asarray(primes, dtype=np.uint64), params)
 
 
+# bits of a packed screen entry that hold the cell sum; the bits above count
+# the distinct sieved primes. Cell sums stay below 2^26 (checked per call),
+# and a count of at most 15 (the omega of any 64-bit integer) keeps the
+# entry below 2^31.
+_SUM_BITS = 26
+
+
 def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
     """Vectorized per-integer summary of (lo, hi] against primes <= bound.
 
-    Returns (smooth, kh, sign, sqfree, excess):
+    `primes` are all primes up to the bound, ascending, and `prime_cells`
+    their cell indices. Returns (smooth, kh, sign, sqfree, excess):
       smooth: no prime factor above the sieving primes' bound
       kh: sum of e * cell_index(p) over sieved primes (complete iff smooth)
       sign: (-1)^(number of distinct sieved primes)
@@ -78,24 +88,23 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
 
     Only `smooth` rows carry final values of kh/sign; an integer with a prime
     factor above the bound is not smooth, and every caller treats it as
-    weight zero. The sieved part of each integer is built up by multiplying:
-    it divides the integer, so it never overflows the integer's dtype.
+    weight zero. Each prime power adds into one packed int32 per entry: the
+    low _SUM_BITS bits take the cell sum, the bits above count the distinct
+    primes, whose parity is the sign. Smoothness is read off the cell sum
+    with one threshold per bit length (see _smooth_rule).
     """
+    lo, hi = int(lo), int(hi)
     size = hi - lo
-    dtype = np.uint32 if hi < (1 << 32) else np.uint64
-    part = np.ones(size, dtype=dtype)
-    kh = np.zeros(size, dtype=np.int32)
-    sign = np.ones(size, dtype=np.int8)
+    c2, length = _smooth_rule(hi, primes, prime_cells)
+    packed = np.zeros(size, dtype=np.int32)
     sqfree = np.ones(size, dtype=bool)
     excess = np.ones(size, dtype=np.uint64) if want_excess else None
+    one = 1 << _SUM_BITS
     for p, kb in zip(primes.tolist(), prime_cells.tolist()):
         first = (lo // p + 1) * p
         if first > hi:
             continue
-        sl = slice(first - (lo + 1), None, p)
-        part[sl] *= p
-        kh[sl] += kb
-        sign[sl] *= -1
+        packed[first - (lo + 1)::p] += kb + one
         q = p * p
         while q <= hi:
             first_q = (lo // q + 1) * q
@@ -104,10 +113,44 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
             slq = slice(first_q - (lo + 1), None, q)
             if q == p * p:
                 sqfree[slq] = False
-            part[slq] *= p
-            kh[slq] += kb
+            packed[slq] += kb
             if want_excess:
                 excess[slq] *= p
             q *= p
-    smooth = part == np.arange(lo + 1, hi + 1, dtype=dtype)
+    sign = np.empty(size, dtype=np.int8)
+    np.right_shift(packed, _SUM_BITS, out=sign, casting="unsafe")
+    sign &= 1
+    sign *= -2
+    sign += 1
+    kh = np.bitwise_and(packed, one - 1, out=packed)
+    # smooth iff kh >= (b - 1) * c2 - L, one threshold per bit length b
+    smooth = np.empty(size, dtype=bool)
+    for b in range((lo + 1).bit_length(), length + 1):
+        a = max(lo, (1 << (b - 1)) - 1) - lo
+        z = min(hi, (1 << b) - 1) - lo
+        np.greater_equal(kh[a:z], (b - 1) * c2 - length, out=smooth[a:z])
     return smooth, kh, sign, sqfree, excess
+
+
+def _smooth_rule(hi, primes, prime_cells):
+    """(c2, L) for the smoothness rule of screen_chunk on (lo, hi].
+
+    With c2 = cell_index(2) = floor(1/delta), L = hi.bit_length(), P the
+    largest sieved prime and b the bit length of m: a smooth m has
+    kh(m) > log2(m)/delta - Omega(m) >= (b - 1) * c2 - L, while an m with a
+    prime factor above P has kh(m) <= (log2 m - log2(P + 1))/delta, which is
+    below that threshold whenever c2 * (bit_length(P + 1) - 2) >= 2L. So
+    smooth <=> kh >= (b - 1) * c2 - L. Raises ValueError when the gap
+    condition fails or a cell sum (below L * (c2 + 1)) could reach 2^_SUM_BITS.
+    """
+    length = hi.bit_length()
+    if len(primes) == 0 or int(primes[0]) != 2:
+        raise ValueError("screen_chunk sieves by all primes up to a bound >= 2")
+    c2 = int(prime_cells[0])
+    if c2 * ((int(primes[-1]) + 1).bit_length() - 2) < 2 * length:
+        raise ValueError(
+            f"cell width 1/{c2} is too coarse to read smoothness off the cell "
+            f"sum for primes up to {int(primes[-1])} below {hi}")
+    if length * (c2 + 1) > 1 << _SUM_BITS:
+        raise ValueError(f"cell sums below {hi} may not fit {_SUM_BITS} bits")
+    return c2, length

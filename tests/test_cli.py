@@ -1,7 +1,8 @@
 import json
 import math
 
-from primeconv import cli, counting, oracles, segmentation, sieve, smooth_mobius
+from primeconv import (cli, counting, error_correction, oracles, segmentation,
+                       sieve, smooth_mobius)
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,36 @@ def test_json_carries_transform_length_and_plain_output_does_not(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == f"{value}\n", argv
 
+
+
+def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
+    # the correction's job list is the last one handed to map_ordered; the
+    # --json fields must describe the run that happened
+    seen = []
+    real = error_correction.map_ordered
+
+    def record(fn, items, threads):
+        seen.append((len(items), threads))
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(error_correction, "map_ordered", record)
+    n = 200_000
+    flags = ["--chunk-size", "4096", "--threads", "2"]
+    counting._char_pipeline_cache.clear()
+    cases = ((["pi", str(n)], oracles.pi_naive(n)),
+             (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1)),
+             (["pi-mod", str(n), "--modulus", "4", "--residue", "3"],
+              oracles.pi_mod_naive(n, 4, 3)))
+    for argv, value in cases:
+        seen.clear()
+        code, out, _ = run_cli(capsys, "--json", *flags, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["result"] == value, argv
+        assert seen[-1] == (obj["correction_chunks"], obj["correction_workers"])
+        assert obj["correction_chunks"] > 2 and obj["correction_workers"] == 2
+        code, out, _ = run_cli(capsys, *flags, *argv)
+        assert code == 0 and out == f"{value}\n", argv
 
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "pi")[0] == 2

@@ -129,6 +129,57 @@ def test_auto_chunk_is_capped():
     assert ec._auto_chunk(10 ** 12, 1 << 23) == 1 << 23
 
 
+
+def test_correction_workers_fit_the_memory_budget(monkeypatch):
+    # map_ordered records the worker count instead of starting threads
+    seen = []
+
+    def record(fn, items, threads):
+        seen.append((len(items), threads))
+        return [[0]] * len(items)
+
+    monkeypatch.setattr(ec, "map_ordered", record)
+    n = 10 ** 10
+    params = seg.make_params(
+        n, counting._pipeline_delta(n, counting.Config()), need_window=True)
+    bound = math.isqrt(n)
+    # 16 default chunks of 3,458,654 entries: the budget admits four workers
+    # however many threads are asked for; 54 chunks of 2^20 admit sixteen
+    for chunk, threads, jobs, workers in ((None, 64, 16, 4), (None, 2, 16, 2),
+                                          (1 << 20, 64, 54, 16)):
+        seen.clear()
+        assert ec.pairs_correction(params, bound, threads=threads,
+                                   chunk_size=chunk) == 0
+        assert seen == [(jobs, workers)], (chunk, threads)
+        assert ec.correction_plan(params, bound, chunk, threads)[2:] == (
+            jobs, workers)
+        size = ec._auto_chunk(params.window, chunk)
+        assert workers * size * ec._JOB_BYTES <= ec._MEMORY_BUDGET
+        assert workers == threads or (
+            (workers + 1) * size * ec._JOB_BYTES > ec._MEMORY_BUDGET)
+
+
+
+def test_correction_jobs_fit_their_byte_budget():
+    # correction_plan counts _JOB_BYTES per chunk entry and worker; one worker
+    # runs every job here, so the peak is that of the largest job; at 3e8
+    # the window spans four chunks of 2^20
+    n = 3 * 10 ** 8
+    params = seg.make_params(
+        n, counting._pipeline_delta(n, counting.Config()), need_window=True)
+    bound = math.isqrt(n)
+    sieve.primes_up_to(bound)
+    chunk = ec._auto_chunk(params.window, None)
+    for kwargs in ({}, {"weight": counting.MultiplicativeWeight.power(1),
+                        "moduli": modmath.DEFAULT_MODULI}):
+        tracemalloc.start()
+        try:
+            ec.pairs_correction(params, bound, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ec._JOB_BYTES * chunk, (list(kwargs), peak / chunk)
+
 class WeightN:
     """The weight h(m) = m, with prefix sums x(x+1)/2 mod p."""
 
@@ -162,7 +213,7 @@ def test_pairs_weighted_and_residue_modes():
         assert got == oracles.error_term_naive_pairs(n, delta, residue=(m, r))
 
 
-def test_pairs_thread_count_and_chunking_neutral():
+def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     # chunks of 977 split both the divisor range and the window into at
     # least 4 jobs, so 2 and 3 workers each take several of them
     n, delta = 200_000, Fraction(1, 200)
@@ -182,6 +233,13 @@ def test_pairs_thread_count_and_chunking_neutral():
                 got = ec.pairs_correction(params, bound, threads=threads,
                                           chunk_size=chunk, **kwargs)
                 assert got == expect, (kwargs, threads, chunk)
+    # divisor blocks of 61 entries: every divisor chunk spans many blocks and
+    # ends in a partial one
+    monkeypatch.setattr(ec, "_DIVISOR_BLOCK", 61)
+    for kwargs, expect in modes:
+        for chunk in (None, 977):
+            got = ec.pairs_correction(params, bound, chunk_size=chunk, **kwargs)
+            assert got == expect, (kwargs, chunk)
 
 
 def test_triples_against_exhaustive_oracle():

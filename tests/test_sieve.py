@@ -1,5 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
+
+import pytest
 
 from primeconv import segmentation as seg
 from primeconv import sieve
@@ -119,3 +122,82 @@ def test_screen_chunk_above_32_bits():
     lo = (1 << 32) + 1000
     _check_screen(seg.make_params(1 << 33, Fraction(1, 40)), 1 << 16,
                   lo, lo + 600, 5)
+
+
+def test_screen_chunk_coarsest_window_delta_smallest_bound():
+    # delta = 1/65 is the coarsest unit fraction inside window_valid at 2^16;
+    # there the gap condition already fails for the primes up to 2 and holds
+    # for those up to 3, so smoothness is read off a 3-smooth test with the
+    # least margin
+    n = 1 << 16
+    delta = Fraction(1, 65)
+    assert seg.window_valid(n, delta) and not seg.window_valid(n, Fraction(1, 64))
+    params = seg.make_params(n, delta)
+    lo, hi = n - 1500, n + 1500
+    two = sieve.primes_up_to(2)
+    with pytest.raises(ValueError):
+        sieve.screen_chunk(lo, hi, two, sieve.prime_cell_indices(two, params))
+    _check_screen(params, 3, lo, hi, 1)
+
+
+def test_screen_chunk_square_of_prime_above_bound():
+    # 1009^2: no sieved prime divides it, so its cell sum is 0, and it must
+    # not pass as smooth
+    q = 1009
+    assert sieve.primes_up_to(q)[-2:].tolist() == [997, q]
+    params = seg.make_params(1 << 21, Fraction(1, 40))
+    lo = q * q - 100
+    smooth, kh, *_ = sieve.screen_chunk(
+        lo, lo + 200, sieve.primes_up_to(1000),
+        sieve.prime_cell_indices(sieve.primes_up_to(1000), params))
+    assert kh[q * q - lo - 1] == 0 and not smooth[q * q - lo - 1]
+    _check_screen(params, 1000, lo, lo + 200, 1)
+
+
+def test_screen_chunk_around_primorial_above_32_bits():
+    # 2 * 3 * ... * 29 > 2^32 has ten distinct primes: the packed count
+    # reaches 10 there and the sign stays +1
+    primorial = 6_469_693_230
+    assert primorial > 1 << 32
+    params = seg.make_params(1 << 33, Fraction(1, 40))
+    lo = primorial - 40
+    primes = sieve.primes_up_to(1000)
+    smooth, _, sign, sqfree, _ = sieve.screen_chunk(
+        lo, lo + 80, primes, sieve.prime_cell_indices(primes, params))
+    assert smooth[39] and sqfree[39] and sign[39] == 1
+    _check_screen(params, 1000, lo, lo + 80, 1)
+
+
+def test_screen_chunk_divisor_range_from_zero():
+    # (0, 5000] spans the bit lengths 1..13, each with its own threshold
+    _check_screen(seg.make_params(10 ** 4, Fraction(1, 40)), 70, 0, 5000, 1)
+
+
+def test_screen_chunk_refuses_coarse_cells():
+    # cells of width 1/4 leave too small a gap between smooth and non-smooth
+    # cell sums below 10^6 for the primes up to 100
+    params = seg.make_params(10 ** 6, Fraction(1, 4))
+    primes = sieve.primes_up_to(100)
+    with pytest.raises(ValueError):
+        sieve.screen_chunk(10 ** 6 - 100, 10 ** 6, primes,
+                           sieve.prime_cell_indices(primes, params))
+    with pytest.raises(ValueError):
+        sieve.screen_chunk(0, 10, primes[:0], primes[:0])
+
+
+def test_screen_chunk_memory_per_entry():
+    n = 10 ** 10
+    params = seg.make_params(n, seg.delta_default(n))
+    primes = sieve.primes_up_to(10 ** 5)
+    pcells = sieve.prime_cell_indices(primes, params)
+    size = 1 << 20
+    for want_excess, limit in ((True, 26), (False, 18)):
+        tracemalloc.start()
+        try:
+            result = sieve.screen_chunk(n, n + size, primes, pcells,
+                                        want_excess=want_excess)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result[0].sum() > 0
+        assert peak < limit * size, (want_excess, peak / size)
