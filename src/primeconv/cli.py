@@ -85,10 +85,7 @@ def _config_from(args):
     if chunk is not None:
         kwargs["chunk_size"] = int(chunk)
     config = counting.Config(**kwargs)
-    if config.threads < 0 or config.cutoff < 0 or (config.chunk_size or 0) < 0:
-        raise ValueError("threads, cutoff and chunk size must be non-negative")
-    if Fraction(config.delta_scale) <= 0:
-        raise ValueError("delta scale must be positive")
+    counting.check_config(config)
     return config
 
 

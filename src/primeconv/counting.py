@@ -70,12 +70,11 @@ class MultiplicativeWeight:
     values live in the NTT prime fields as roots of unity).
     """
 
-    def __init__(self, kind, ell=0, char_mod=0, char_index=0, tables=None,
+    def __init__(self, kind, ell=0, char_mod=0, tables=None,
                  prefix_tables=None):
         self.kind = kind
         self.ell = ell
         self.char_mod = char_mod
-        self.char_index = char_index
         self._tables = tables or {}
         self._prefix_tables = prefix_tables or {}
 
@@ -263,28 +262,35 @@ def _character_weights(m, moduli):
             tables[p] = tab
             prefixes[p] = (full, pre)
         weights.append(MultiplicativeWeight(
-            "character", char_mod=m, char_index=k,
-            tables=tables, prefix_tables=prefixes))
+            "character", char_mod=m, tables=tables, prefix_tables=prefixes))
     return weights, group
 
 
 # --- pipeline helpers -----------------------------------------------------
 
 def _pipeline_delta(n, config):
-    c = Fraction(config.delta_scale)
-    if c <= 0:
-        raise ValueError("delta scale must be positive")
     lup = max(2, (n - 1).bit_length())
     base = segmentation.delta_default(n)
     cap = Fraction(4, 25 * lup)
-    return c * min(base, cap)
+    return Fraction(config.delta_scale) * min(base, cap)
+
+
+def check_config(config):
+    """Refuse a Config that no run could honour, whatever n is."""
+    if config.threads < 0:
+        raise ValueError("threads must be non-negative")
+    if config.cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    if (config.chunk_size or 0) < 0:
+        raise ValueError("chunk size must be non-negative")
+    if Fraction(config.delta_scale) <= 0:
+        raise ValueError("delta scale must be positive")
 
 
 def _check_supported(n, config):
+    check_config(config)
     if n > config.max_n:
         raise ValueError(f"n = {n} exceeds the supported range {config.max_n}")
-    if (config.chunk_size or 0) < 0:
-        raise ValueError("chunk size must be non-negative")
 
 
 def _prefix_dot(arr, weights_mod, modulus):
@@ -298,10 +304,9 @@ def _celltops_desc(params):
     return params.bounds_np[1:top + 2][::-1] - 1
 
 
-def _pi_pipeline(n, config, weights, *, correct=True):
-    """Shared core: returns (per-modulus rows of approx sums, one per weight;
-    the pair correction of the single weight unless correct=False; params,
-    primes, moduli, timings)."""
+def _pi_pipeline(n, config, weights):
+    """Shared transform core: returns (per-modulus rows of approx sums, one
+    per weight; params, primes, moduli, timings)."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -325,21 +330,31 @@ def _pi_pipeline(n, config, weights, *, correct=True):
 
     approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
     timings["convolution"] = time.perf_counter() - t0
-    corr = None
-    if correct:
-        t0 = time.perf_counter()
-        (weight,) = weights
-        corr = error_correction.pairs_correction(
-            params, bound, weight=weight, moduli=moduli,
-            chunk_size=config.chunk_size, threads=threads)
-        timings["correction"] = time.perf_counter() - t0
-    return approx, corr, params, primes, moduli, timings
+    return approx, params, primes, moduli, timings
+
+
+def _correction(params, config, timings, **kwargs):
+    """pairs_correction at isqrt(n) with the config's chunk size and threads,
+    timed as the correction phase. Returns its value and, for --json, the
+    chunk and worker counts of the pass."""
+    t0 = time.perf_counter()
+    bound = math.isqrt(params.n)
+    threads = config.resolved_threads()
+    corr = error_correction.pairs_correction(
+        params, bound, chunk_size=config.chunk_size, threads=threads, **kwargs)
+    timings["correction"] = time.perf_counter() - t0
+    _, _, chunks, workers = error_correction.correction_plan(
+        params, bound, config.chunk_size, threads)
+    return corr, {"correction_chunks": chunks, "correction_workers": workers}
 
 
 def _prime_sum_result(function, n, weight, config, extra):
     """Sum of h(p) over primes p <= n through the main pipeline."""
-    approx, corr, params, primes, moduli, timings = _pi_pipeline(
-        n, config, [weight])
+    approx, params, primes, moduli, timings = _pi_pipeline(n, config, [weight])
+    corr, counts = _correction(params, config, timings, weight=weight,
+                               moduli=moduli)
+    if weight.is_unit:
+        corr = corr * len(moduli)  # the one exact class serves every modulus
     t0 = time.perf_counter()
     residues = []
     for (a,), err, p in zip(approx, corr, moduli):
@@ -348,17 +363,9 @@ def _prime_sum_result(function, n, weight, config, extra):
     value = modmath.crt_combine(residues, moduli)
     timings["combine"] = time.perf_counter() - t0
     extra["transform_length"] = smooth_mobius.transform_length(primes, params)
-    extra.update(_correction_extra(params, config))
+    extra.update(counts)
     return ResultBundle(function, n, value, params.delta, params.window,
                         tuple(moduli), timings, extra)
-
-
-def _correction_extra(params, config):
-    """The pair correction's chunk and worker counts, for --json."""
-    _, _, chunks, workers = error_correction.correction_plan(
-        params, math.isqrt(params.n), config.chunk_size,
-        config.resolved_threads())
-    return {"correction_chunks": chunks, "correction_workers": workers}
 
 
 def count_primes_result(n, config=None):
@@ -437,17 +444,20 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     for q, e in modmath.factorize(modulus):
         phi_m *= (q - 1) * q ** (e - 1)
     pair = _select_moduli(phi_m, config)
-    # the character transforms depend on no residue, cutoff, chunk size or
-    # thread count; cache them so looping over residues pays only one
-    # correction pass per residue
+    # the character transforms and the per-class correction depend on no
+    # residue, cutoff, chunk size or thread count; cache them so that every
+    # residue of one modulus shares one transform run and one correction pass
     key = (n, modulus, pair, Fraction(config.delta_scale))
     cached = _char_pipeline_cache.get(key)
     if cached is None:
         chars, _ = _character_weights(modulus, pair)
         cfg = Config(**{**config.__dict__, "moduli": pair})
-        approx, _, params, primes, _, timings = _pi_pipeline(
-            n, cfg, chars, correct=False)
-        cached = (chars, approx, params, primes)
+        approx, params, primes, _, timings = _pi_pipeline(n, cfg, chars)
+        classes, extra = _correction(params, config, timings, modulus=modulus)
+        # a hit reports the chunk and worker counts of the pass that filled
+        # the entry
+        extra["transform_length"] = smooth_mobius.transform_length(primes, params)
+        cached = (chars, approx, params, primes, classes, extra)
         _char_pipeline_cache[key] = cached
         # list() snapshots the keys at once; a concurrent eviction may have
         # dropped one already
@@ -455,12 +465,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
             _char_pipeline_cache.pop(old, None)
     else:
         timings = {}
-    chars, approx, params, primes = cached
-    t0 = time.perf_counter()
-    corr = error_correction.pairs_correction(
-        params, math.isqrt(n), residue=(modulus, residue),
-        chunk_size=config.chunk_size, threads=config.resolved_threads())
-    timings["correction"] = time.perf_counter() - t0
+    chars, approx, params, primes, classes, extra = cached
     t0 = time.perf_counter()
     r_inv = pow(residue, -1, modulus)
     small = int(np.sum(np.asarray(primes, dtype=np.int64) % modulus == residue))
@@ -471,15 +476,12 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         s = 0
         for k, w in enumerate(chars):
             s = (s + int(w._tables[p][r_inv]) * rows[k]) % p
-        residues.append((s * inv_phi - corr - indicator + small) % p)
+        residues.append((s * inv_phi - classes[residue] - indicator + small) % p)
     value = modmath.crt_combine(residues, pair)
     timings["combine"] = time.perf_counter() - t0
     return ResultBundle("pi-mod", n, value, params.delta, params.window,
                         tuple(pair), timings,
-                        {"modulus": modulus, "residue": residue,
-                         "transform_length":
-                             smooth_mobius.transform_length(primes, params),
-                         **_correction_extra(params, config)})
+                        {"modulus": modulus, "residue": residue, **extra})
 
 
 def count_primes_mod(n, modulus, residue, config=None):
@@ -532,6 +534,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
     ResultBundle per threshold, in input order.
     """
     config = config or DEFAULT_CONFIG
+    check_config(config)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
     for n_i in ns:

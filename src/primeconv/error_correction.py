@@ -8,8 +8,11 @@ The pair sum is aggregated divisor-major (see pairs_correction): each
 admissible square-free smooth divisor d2 up to a split point contributes a
 count of its cofactors inside an interval, read off the cell-boundary table;
 larger d2 are reached as m/d1 for small cofactors d1 through stride slices of
-the screened window. The triple sum (Mertens) is counted in two halves split
-on d1*d2, with one interval count per pair in each: see triples_correction.
+the screened window. Its exact count is split by the class of the product
+mod a modulus (one class for pi, all at once for residue classes); a
+weighted count is kept per NTT prime. The triple sum (Mertens) is counted
+in two halves split on d1*d2, with one interval count per pair in each: see
+triples_correction.
 """
 
 import math
@@ -83,7 +86,7 @@ def map_ordered(fn, items, threads):
     return [fn(it) for it in items]
 
 
-def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
+def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
                      chunk_size=None, threads=1):
     """Divisor-major evaluation of the pair error sum.
 
@@ -93,31 +96,34 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
     d1 <= (n + S) // (cap_x + 1) < bound and come from stride slices of the
     screened window itself. Such d1 have no prime factor above the bound, so
     m/d1 is bound-smooth exactly when m is, and no pair is lost. S is
-    params.window. The sum is weighted by h = `weight` (None or a unit weight
-    for h = 1); `residue` = (m, r) keeps only the products congruent to r mod
-    m. Returns the exact int without `moduli`, else one residue per modulus.
+    params.window.
+
+    Without a weight, or with the unit weight, the sum is exact and split by
+    the class of the product m mod `modulus`: a list of `modulus` ints whose
+    entry c sums the products m = c, with 0 where gcd(c, modulus) > 1. The
+    default modulus 1 gives the whole sum as a one-entry list. With any
+    other weight h, the sum of h(m) over all products is returned as one
+    residue per prime in `moduli`.
 
     Each chunk of (0, cap_x] and of (n, n + S] is one job whose partial sums
-    (one Python int per modulus, or one exact int) are added up in chunk
-    order and reduced once. When a range spans more than one chunk, the jobs
-    run on up to `threads` worker threads, one chunk in memory per worker;
-    correction_plan caps the workers by a memory budget.
+    are added up in chunk order. When a range spans more than one chunk, the
+    jobs run on up to `threads` worker threads, one chunk in memory per
+    worker; correction_plan caps the workers by a memory budget.
     """
     n = params.n
     window = params.window
     unit = weight is None or weight.is_unit
-    width = 1 if unit else len(moduli)
+    width = modulus if unit else len(moduli)
     cap_x, chunk, chunks, workers = correction_plan(
         params, bound, chunk_size, threads)
     if not chunks:
-        return _reduced([0] * width, moduli)
+        return [0] * width if unit else (0,) * width
     top = params.top_cell
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
     d1_max = (n + window) // (cap_x + 1)
-    res_m, res_r = residue if residue else (0, 0)
-    if res_m:
-        inv_table = _inverse_table(res_m)
+    coprime = [c for c in range(modulus) if math.gcd(c, modulus) == 1]
+    inv_table = _inverse_table(modulus)
 
     def divisor_job(lo, hi):
         smooth, kh, sign, sqfree, _ = sieve.screen_chunk(lo, hi, primes, pcells)
@@ -137,19 +143,22 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
         upper = np.minimum((n + window) // d2, cap)
         lower = n // d2
         live = upper > lower
+        if unit:
+            # a d2 sharing a factor with the modulus reaches no coprime class
+            inv = inv_table[d2 % modulus]
+            live &= inv >= 0
+            inv = inv[live]
         d2, upper, lower = d2[live], upper[live], lower[live]
-        if len(d2) == 0:
-            return [0] * width
         sg = sd2[live].astype(np.int64)
-        if unit and not res_m:
-            return [int(np.sum(sg * (upper - lower)))]
-        if res_m:
-            inv = inv_table[d2 % res_m]
-            good = inv >= 0
-            t = (res_r * inv[good]) % res_m
-            up, lw = upper[good], lower[good]
-            cnt = (up - t) // res_m - (lw - t) // res_m
-            return [int(np.sum(sg[good] * cnt))]
+        if unit:
+            # the cofactors k of d2 in class c are those with k = c / d2 (mod
+            # modulus)
+            part = [0] * width
+            for c in coprime:
+                t = c * inv % modulus
+                part[c] = int(np.dot(sg, (upper - t) // modulus
+                                     - (lower - t) // modulus))
+            return part
         part = []
         for p in moduli:
             hv = weight.values_vec(d2, p)
@@ -160,19 +169,19 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
             part.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))))
         return part
 
-    # large divisors: stride over the window for each small cofactor d1;
-    # d1 < bound, so its screen row is complete
+    # large divisors: stride over the window for each small cofactor d1
+    # coprime to the modulus; d1 < bound, so its screen row is complete
     d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
     _, kd1s, sd1s, _, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
     kb1s = segmentation.cell_index_vec(d1s, params)
-    keep = kb1s <= top
-    if res_m:
-        keep &= np.gcd(d1s, np.uint64(res_m)) == 1
+    keep = (kb1s <= top) & (np.gcd(d1s, np.uint64(modulus)) == 1)
     d1_info = list(zip(d1s[keep].tolist(), kb1s[keep].tolist(),
                        kd1s[keep].tolist(), sd1s[keep].tolist()))
 
     def window_job(lo, hi):
         part = [0] * width
+        # float sums of signs: exact, as no chunk holds 2^53 pairs
+        per_class = np.zeros(modulus)
         smooth, kh, sign, _, excess = sieve.screen_chunk(
             lo, hi, primes, pcells, want_excess=True)
         # one key per element: m/d1 passes the cell test iff key <= top +
@@ -187,8 +196,6 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
             idx = np.flatnonzero(kh[i0::d1] <= top + kd1 - kb1) * d1 + i0
             # m/d1 is square-free exactly when d1 is a multiple of the excess
             idx = idx[np.uint64(d1) % excess[idx] == 0]
-            if res_m:
-                idx = idx[(idx + (lo + 1)) % res_m == res_r]
             if len(idx) == 0:
                 continue
             nv = idx + (lo + 1)
@@ -197,7 +204,8 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
             sg = sign[idx].astype(np.int64) * s1
             sg *= sd1s[np.gcd(nv // d1, d1) - 1]
             if unit:
-                part[0] += int(np.sum(sg))
+                per_class += np.bincount(nv % modulus, weights=sg,
+                                         minlength=modulus)
                 continue
             for i, p in enumerate(moduli):
                 h1 = weight.value_at(d1, p)
@@ -205,21 +213,15 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, residue=None,
                 hv = hv * np.uint64(h1) % np.uint64(p)
                 sv = np.where(sg > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
                 part[i] += int(np.sum(sv.astype(np.int64)))
-        return part
+        return per_class.astype(np.int64).tolist() if unit else part
 
     jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
     parts = map_ordered(lambda job: job[0](job[1], job[2]), jobs, workers)
-    return _reduced([sum(col) for col in zip(*parts)], moduli)
-
-
-def _reduced(sums, moduli):
-    """The exact sum without moduli; else its residue per modulus (a unit
-    sum is one exact int, a weighted one has one entry per modulus)."""
-    if moduli is None:
-        return sums[0]
-    if len(sums) == 1:
-        sums = sums * len(moduli)
+    sums = [sum(col) for col in zip(*parts)]
+    if unit:
+        # a product sharing a factor with the modulus is in no coprime class
+        return [s if math.gcd(c, modulus) == 1 else 0 for c, s in enumerate(sums)]
     return tuple(s % p for s, p in zip(sums, moduli))
 
 

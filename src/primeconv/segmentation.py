@@ -135,18 +135,15 @@ def _boundary_list(delta, stop_above):
     return out
 
 
-def delta_default(n, scale=1):
-    """Default segmentation precision scale * log2(n) / sqrt(n).
-
-    Returned as an exact Fraction with 96 fractional bits before scaling, so
-    the value is deterministic and scales exactly linearly in `scale`.
-    """
+def delta_default(n):
+    """Default segmentation precision log2(n) / sqrt(n), as an exact Fraction
+    with 96 fractional bits, so the value is deterministic."""
     if n < 2:
         raise ValueError("delta_default needs n >= 2")
     l_lo, _ = _log2_bounds(n, _FRAC_BITS)
     root = math.isqrt(n << (2 * _FRAC_BITS))
     base = (l_lo << _FRAC_BITS) // root
-    return Fraction(scale) * Fraction(base, 1 << _FRAC_BITS)
+    return Fraction(base, 1 << _FRAC_BITS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -246,13 +246,13 @@ def test_criterion_5_identity_suite(capsys):
             muhat = _enum_mobius_cells(primes, cells, top)
             tops = (params.bounds_np[1:top + 2][::-1].astype(np.int64) - 1)
             segmented = int(np.sum(muhat * tops))
-            corr = ec.pairs_correction(
+            (corr,) = ec.pairs_correction(
                 dataclasses.replace(params, window=window), b)
             if segmented - dirichlet != corr:
                 bad.append(("error-term", n, j))
             shrunk = seg.error_window_size(params)
             if ec.pairs_correction(
-                    dataclasses.replace(params, window=shrunk), b) != corr:
+                    dataclasses.replace(params, window=shrunk), b) != [corr]:
                 bad.append(("shrunk-window", n, j))
         if bad:
             break

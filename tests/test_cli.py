@@ -109,6 +109,13 @@ def test_negative_chunk_size_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PRIMECONV_CHUNK_SIZE", "-3")
     code, _, err = run_cli(capsys, "mertens", "1000")
     assert code == 2 and "chunk size" in err
+    monkeypatch.delenv("PRIMECONV_CHUNK_SIZE")
+    # the other fields go through the same check as the library's
+    for flag, value, field in (("--threads", "-2", "threads"),
+                               ("--cutoff", "-1", "cutoff"),
+                               ("--delta-scale", "0", "delta scale")):
+        code, _, err = run_cli(capsys, flag, value, "pi", "1000")
+        assert code == 2 and field in err, flag
 
 
 def test_range_errors_exit_3(capsys):

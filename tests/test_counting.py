@@ -213,14 +213,36 @@ def test_cache_hit_reports_only_its_own_phases():
     n = 2 * 10 ** 5 + 3
     first = counting.count_primes_mod_result(n, 4, 1)
     second = counting.count_primes_mod_result(n, 4, 3)
-    assert "convolution" in first.timings
-    assert set(second.timings) == {"correction", "combine"}
+    assert {"convolution", "correction"} <= set(first.timings)
+    assert set(second.timings) == {"combine"}
     assert first.value + second.value + 1 == primeconv.count_primes(n)
-    # the cached transforms read neither the chunk size nor the cutoff
+    # the cached transforms and correction read neither the chunk size nor
+    # the cutoff; a hit reports the chunks and workers of the pass that
+    # filled the entry
     third = counting.count_primes_mod_result(
         n, 4, 3, counting.Config(chunk_size=4096, cutoff=1000))
-    assert set(third.timings) == {"correction", "combine"}
+    assert set(third.timings) == {"combine"}
     assert third.value == second.value
+    for key in ("correction_chunks", "correction_workers"):
+        assert third.extra[key] == first.extra[key], key
+
+
+def test_residues_of_one_modulus_share_one_correction_pass(monkeypatch):
+    counting._char_pipeline_cache.clear()
+    calls = []
+    real = error_correction.pairs_correction
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("modulus"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(error_correction, "pairs_correction", counted)
+    n = 2 * 10 ** 5 + 3
+    residues = [r for r in range(30) if math.gcd(r, 30) == 1]
+    assert len(residues) == 8
+    for r in residues:
+        assert primeconv.count_primes_mod(n, 30, r) == oracles.pi_mod_naive(n, 30, r), r
+    assert calls == [30]
 
 
 def test_char_cache_eviction_under_threads():
@@ -256,18 +278,29 @@ def test_char_cache_eviction_under_threads():
 
 
 def test_negative_chunk_size_rejected():
-    # n below the cutoff: the check comes before the sieve fallback
-    cfg = counting.Config(chunk_size=-3)
-    calls = [lambda: primeconv.count_primes(1000, cfg),
-             lambda: primeconv.sum_over_primes(1000, 2, cfg),
-             lambda: primeconv.count_primes_mod(1000, 4, 3, cfg),
-             lambda: primeconv.count_primes_mod(1000, 1, 0, cfg),
-             lambda: primeconv.mertens(1000, cfg),
-             lambda: primeconv.count_squarefree(1000, cfg),
-             lambda: primeconv.totient_sum(1000, cfg)]
-    for call in calls:
-        with pytest.raises(ValueError, match="chunk size"):
-            call()
+    # n below the cutoff: the check comes before the sieve fallback; every
+    # invalid field is refused by every public function
+    invalid = (({"chunk_size": -3}, "chunk size"),
+               ({"threads": -2}, "threads"),
+               ({"cutoff": -1}, "cutoff"),
+               ({"delta_scale": 0}, "delta scale"),
+               ({"delta_scale": Fraction(-1, 3)}, "delta scale"))
+    for fields, match in invalid:
+        cfg = counting.Config(**fields)
+        calls = [lambda: primeconv.count_primes(1000, cfg),
+                 lambda: primeconv.sum_over_primes(1000, 2, cfg),
+                 lambda: primeconv.count_primes_mod(1000, 4, 3, cfg),
+                 lambda: primeconv.count_primes_mod(1000, 1, 0, cfg),
+                 lambda: primeconv.mertens(1000, cfg),
+                 lambda: primeconv.mertens_multi([1000], 40, cfg),
+                 lambda: primeconv.count_squarefree(1000, cfg),
+                 lambda: primeconv.totient_sum(1000, cfg)]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+    # the check does not depend on n: above the cutoff too
+    with pytest.raises(ValueError, match="delta scale"):
+        primeconv.count_primes(200_000, counting.Config(delta_scale=0))
 
 
 def test_result_bundles_carry_provenance():

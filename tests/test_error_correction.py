@@ -15,7 +15,7 @@ P1, P2 = modmath.DEFAULT_MODULI
 def test_empty_window_gives_zero():
     params = seg.make_params(1000, Fraction(1, 20000), need_window=True)
     assert params.window == 0
-    assert ec.pairs_correction(params, math.isqrt(1000)) == 0
+    assert ec.pairs_correction(params, math.isqrt(1000)) == [0]
     assert oracles.error_term_naive_pairs(1000, Fraction(1, 20000)) == 0
     assert ec.triple_window(params) == 0
     assert ec.triples_correction(params, 31, sieve.mu_up_to(31)) == 0
@@ -26,7 +26,7 @@ def test_pairs_against_exhaustive_oracle():
     n, delta = 1000, Fraction(1, 50)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    assert ec.pairs_correction(params, bound) == oracles.error_term_naive_pairs(n, delta)
+    assert ec.pairs_correction(params, bound) == [oracles.error_term_naive_pairs(n, delta)]
 
 
 def test_pairs_against_oracle_random_configs():
@@ -38,7 +38,7 @@ def test_pairs_against_oracle_random_configs():
         params = seg.make_params(n, delta, need_window=True)
         bound = math.isqrt(n)
         expect = oracles.error_term_naive_pairs(n, delta)
-        assert ec.pairs_correction(params, bound) == expect, (n, delta)
+        assert ec.pairs_correction(params, bound) == [expect], (n, delta)
 
 
 @pytest.mark.parametrize("n, den", [(32, 41), (850, 262), (942, 306),
@@ -52,7 +52,7 @@ def test_pairs_short_window_cofactor_split(n, den):
     bound = math.isqrt(n)
     assert (n + params.window) // (params.window + 1) > bound
     expect = oracles.error_term_naive_pairs(n, delta)
-    assert ec.pairs_correction(params, bound) == expect
+    assert ec.pairs_correction(params, bound) == [expect]
 
 
 def test_pairs_identity_with_dirichlet_reference():
@@ -83,7 +83,7 @@ def test_pairs_identity_with_dirichlet_reference():
         mus = oracles.mu_smooth_naive(n, bound).astype(np.int64)
         ones = np.ones(n + 1, dtype=np.int64)
         dirichlet = int(oracles.dirichlet_convolve_naive(ones, mus, n)[1:].sum())
-        corr = ec.pairs_correction(params, bound)
+        (corr,) = ec.pairs_correction(params, bound)
         assert segmented - dirichlet == corr, (n, delta)
 
 
@@ -114,7 +114,7 @@ def test_pairs_deterministic_across_chunking():
     n, delta = 50000, Fraction(1, 600)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    vals = {ec.pairs_correction(params, bound, chunk_size=c)
+    vals = {tuple(ec.pairs_correction(params, bound, chunk_size=c))
             for c in (None, 1 << 12, 1 << 14, 977)}
     assert len(vals) == 1
 
@@ -149,7 +149,7 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
                                           (1 << 20, 64, 54, 16)):
         seen.clear()
         assert ec.pairs_correction(params, bound, threads=threads,
-                                   chunk_size=chunk) == 0
+                                   chunk_size=chunk) == [0]
         assert seen == [(jobs, workers)], (chunk, threads)
         assert ec.correction_plan(params, bound, chunk, threads)[2:] == (
             jobs, workers)
@@ -198,6 +198,13 @@ class WeightN:
         return x * x1 % np.uint64(p) * half % np.uint64(p)
 
 
+def _class_vector(n, delta, q):
+    """The per-class correction mod q from the exhaustive oracle: entry c
+    sums the products m = c (mod q), and non-coprime classes are 0."""
+    return [oracles.error_term_naive_pairs(n, delta, residue=(q, c))
+            if math.gcd(c, q) == 1 else 0 for c in range(q)]
+
+
 def test_pairs_weighted_and_residue_modes():
     n, delta = 4000, Fraction(1, 200)
     params = seg.make_params(n, delta, need_window=True)
@@ -207,10 +214,17 @@ def test_pairs_weighted_and_residue_modes():
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
     assert got == (expect % P1, expect % P2)
 
-    # residue mode keeps only the products congruent to r mod m
-    for m, r in ((4, 3), (3, 1), (30, 7)):
-        got = ec.pairs_correction(params, bound, residue=(m, r))
-        assert got == oracles.error_term_naive_pairs(n, delta, residue=(m, r))
+    # the exact path splits the products by their class mod q
+    for q in (1, 3, 4, 30):
+        got = ec.pairs_correction(params, bound, modulus=q)
+        expect = _class_vector(n, delta, q)
+        assert len(got) == q
+        for c in range(q):
+            assert got[c] == expect[c], (q, c)
+    # the unit weight takes the same path
+    unit = counting.MultiplicativeWeight.unit()
+    assert (ec.pairs_correction(params, bound, weight=unit, moduli=[P1, P2],
+                                modulus=4) == _class_vector(n, delta, 4))
 
 
 def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
@@ -221,9 +235,7 @@ def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     bound = math.isqrt(n)
     assert params.window >= 4 * 977
     assert max(params.window, (n + params.window) // bound) >= 4 * 977
-    modes = [({}, oracles.error_term_naive_pairs(n, delta)),
-             ({"residue": (4, 3)},
-              oracles.error_term_naive_pairs(n, delta, residue=(4, 3)))]
+    modes = [({"modulus": q}, _class_vector(n, delta, q)) for q in (1, 3, 4, 30)]
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
     modes.append(({"weight": WeightN(), "moduli": [P1, P2]},
                   (expect % P1, expect % P2)))
