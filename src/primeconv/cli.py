@@ -74,7 +74,11 @@ def _config_from(args):
     kwargs = {}
     scale = args.delta_scale if args.delta_scale is not None else _env("DELTA_SCALE")
     if scale is not None:
-        kwargs["delta_scale"] = Fraction(scale)
+        try:
+            kwargs["delta_scale"] = Fraction(scale)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"delta scale {scale!r} is not a rational number") from None
     threads = args.threads if args.threads is not None else _env("THREADS")
     if threads is not None:
         kwargs["threads"] = int(threads)
@@ -148,6 +152,9 @@ def _verify_cutoff():
 
 
 def _bench(args, config, as_json):
+    if args.start < 1 or args.factor < 2:
+        # n *= factor must grow past --to, or the schedule never ends
+        raise ValueError("bench needs --from >= 1 and --factor >= 2")
     rows = []
     n = args.start
     phases = ("params", "primes", "convolution", "correction", "combine",

@@ -11,7 +11,7 @@ oracles, which are exact by construction.
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,20 +29,25 @@ class ModulusSupportError(Exception):
 
 @dataclass
 class Config:
-    """Run-time knobs shared by every public function."""
+    """Run-time settings shared by every public function.
+
+    delta_scale scales the segmentation precision; inputs below cutoff go to
+    the direct sieves in oracles; chunk_size (None = adaptive) and threads
+    (0 = available parallelism) shape the correction's jobs; max_n and
+    max_character_modulus bound the accepted inputs. No value depends on
+    delta_scale, chunk_size or threads. The NTT prime pair is not a setting:
+    characters take the first pool pair whose p - 1 their order divides, and
+    every other function takes modmath.DEFAULT_MODULI.
+    """
     delta_scale: Fraction = Fraction(1)
     cutoff: int = 100_000
     chunk_size: int | None = None
-    threads: int = 0  # 0 = available parallelism
-    moduli: tuple | None = None
+    threads: int = 0
     max_n: int = 10 ** 11
     max_character_modulus: int = 10_000
 
     def resolved_threads(self):
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
-    def modulus_pair(self):
-        return self.moduli if self.moduli is not None else modmath.DEFAULT_MODULI
 
 
 DEFAULT_CONFIG = Config()
@@ -66,8 +71,8 @@ class ResultBundle:
 class MultiplicativeWeight:
     """Completely multiplicative weight with O(1) prefix sums per modulus.
 
-    Three kinds: the unit weight, n -> n^ell, and Dirichlet characters (whose
-    values live in the NTT prime fields as roots of unity).
+    Two kinds: n -> n^ell (ell = 0 is the unit weight) and Dirichlet
+    characters (whose values live in the NTT prime fields as roots of unity).
     """
 
     def __init__(self, kind, ell=0, char_mod=0, tables=None,
@@ -79,22 +84,16 @@ class MultiplicativeWeight:
         self._prefix_tables = prefix_tables or {}
 
     @staticmethod
-    def unit():
-        return MultiplicativeWeight("unit")
-
-    @staticmethod
     def power(ell):
         if ell < 0 or ell > 16:
             raise ValueError("power weight supports exponents 0..16")
-        return MultiplicativeWeight("unit" if ell == 0 else "power", ell=ell)
+        return MultiplicativeWeight("power", ell=ell)
 
     @property
     def is_unit(self):
-        return self.kind == "unit"
+        return self.kind == "power" and self.ell == 0
 
     def value_at(self, n, modulus):
-        if self.kind == "unit":
-            return 1 % modulus
         if self.kind == "power":
             return pow(n % modulus, self.ell, modulus)
         return int(self._tables[modulus][n % self.char_mod])
@@ -102,8 +101,6 @@ class MultiplicativeWeight:
     def values_vec(self, arr, modulus):
         arr = np.asarray(arr, dtype=np.uint64)
         p = np.uint64(modulus)
-        if self.kind == "unit":
-            return np.ones(len(arr), dtype=np.uint64)
         if self.kind == "power":
             return _pow_vec(arr % p, self.ell, modulus)
         return self._tables[modulus][(arr % np.uint64(self.char_mod)).astype(np.int64)]
@@ -116,8 +113,6 @@ class MultiplicativeWeight:
         """H(x) = sum_{1 <= i <= x} h(i) mod modulus, vectorized."""
         arr = np.asarray(arr, dtype=np.uint64)
         p = np.uint64(modulus)
-        if self.kind == "unit":
-            return arr % p
         if self.kind == "power":
             return _lagrange_prefix(arr, self.ell, modulus)
         m = np.uint64(self.char_mod)
@@ -177,93 +172,65 @@ def _lagrange_prefix(xs, ell, modulus):
 
 # --- Dirichlet characters -------------------------------------------------
 
-def _odd_prime_power_generator(q, e):
-    mod = q ** e
-    phi = (q - 1) * q ** (e - 1)
-    fac = modmath.factorize(phi)
-    g = 2
-    while True:
-        if math.gcd(g, mod) == 1 and all(
-                pow(g, phi // f, mod) != 1 for f, _ in fac):
-            return g
-        g += 1
-
-
-class _UnitGroup:
-    """Cyclic decomposition of (Z/m)* with a full discrete-log table."""
-
-    def __init__(self, m):
-        if m < 2:
-            raise ValueError("unit group needs m >= 2")
-        self.m = m
-        comps = []  # (generator lifted mod m, component order)
-        for q, e in modmath.factorize(m):
-            qe = q ** e
-            if q == 2:
-                if e == 2:
-                    comps.append((self._lift(3, qe, m), 2))
-                elif e >= 3:
-                    comps.append((self._lift(qe - 1, qe, m), 2))
-                    comps.append((self._lift(5, qe, m), 1 << (e - 2)))
-            else:
-                g = _odd_prime_power_generator(q, e)
-                comps.append((self._lift(g, qe, m), (q - 1) * q ** (e - 1)))
-        self.orders = [o for _, o in comps]
-        self.phi = math.prod(self.orders) if self.orders else 1
-        # digits[n] = exponent tuple of n over the component generators
-        elements = [1]
-        digit_lists = [()]
-        for g, o in comps:
-            powers = [1]
-            for _ in range(o - 1):
-                powers.append(powers[-1] * g % m)
-            elements = [el * pw % m for pw in powers for el in elements]
-            digit_lists = [dg + (a,) for a in range(o) for dg in digit_lists]
-        self.digits = dict(zip(elements, digit_lists))
-
-    @staticmethod
-    def _lift(g, qe, m):
-        """Element congruent to g mod qe and to 1 mod m/qe."""
-        rest = m // qe
-        if rest == 1:
-            return g % m
-        inv = pow(qe, -1, rest)
-        return (g + qe * (((1 - g) * inv) % rest)) % m
+def _unit_group(m):
+    """(generator lifted mod m, order) for each cyclic factor of (Z/m)*."""
+    comps = []
+    for q, e in modmath.factorize(m):
+        qe = q ** e
+        if q == 2 and e == 2:
+            gens = [(3, 2)]
+        elif q == 2:
+            # (Z/2)* is trivial and (Z/2^e)* = <-1> x <5> for e >= 3
+            gens = [(qe - 1, 2), (5, qe >> 2)] if e > 2 else []
+        else:
+            # a primitive root g mod q generates mod q^e unless
+            # g^(q-1) = 1 mod q^2, and then g + q does
+            g = modmath.primitive_root(q)
+            if pow(g, q - 1, q * q) == 1:
+                g += q
+            gens = [(g, (q - 1) * q ** (e - 1))]
+        comps += [(modmath.crt_combine([g, 1], [qe, m // qe]) % m, o)
+                  for g, o in gens]
+    return comps
 
 
 def _character_weights(m, moduli):
-    """All phi(m) Dirichlet characters mod m as weights over the moduli."""
-    group = _UnitGroup(m)
-    orders = group.orders
-    weights = []
-    for k in range(group.phi):
-        digits = []
-        kk = k
-        for o in orders:
-            digits.append(kk % o)
-            kk //= o
-        tables = {}
-        prefixes = {}
-        for p in moduli:
-            g = modmath.primitive_root(p)
-            roots = [pow(g, (p - 1) // o, p) for o in orders]
-            tab = np.zeros(m, dtype=np.uint64)
-            for n, dg in group.digits.items():
-                v = 1
-                for ci in range(len(orders)):
-                    v = v * pow(roots[ci], digits[ci] * dg[ci], p) % p
-                tab[n % m] = v
-            pre = np.zeros(m, dtype=np.uint64)
-            acc = 0
-            for n in range(1, m):
-                acc = (acc + int(tab[n])) % p
-                pre[n] = acc
-            full = (acc + int(tab[0])) % p
-            tables[p] = tab
-            prefixes[p] = (full, pre)
-        weights.append(MultiplicativeWeight(
-            "character", char_mod=m, tables=tables, prefix_tables=prefixes))
-    return weights, group
+    """The phi(m) Dirichlet characters mod m as weights over the moduli.
+
+    Unit j is prod_i g_i^(a_ij) over the cyclic factors (g_i, o_i) of (Z/m)*,
+    the first factor's digit varying fastest, and character k maps unit j to
+    zeta^(sum_i a_ik a_ij E / o_i) for zeta a primitive E-th root of unity
+    mod p, E = lcm(o_i). Each prime fills its phi x m value table with one
+    gather from the powers of zeta and its prefix table with one cumsum; the
+    weights hold row views of both.
+    """
+    comps = _unit_group(m)
+    units = np.ones(1, dtype=np.int64)
+    digits = np.zeros((0, 1), dtype=np.int64)
+    for g, o in comps:
+        powers = modmath.power_table(g, o, m).astype(np.int64)
+        digits = np.vstack([np.tile(digits, o),
+                            np.repeat(np.arange(o), len(units))])
+        units = (np.outer(powers, units) % m).ravel()
+    order = math.lcm(*(o for _, o in comps))
+    exps = np.zeros((len(units), len(units)), dtype=np.int64)
+    for row, (_, o) in zip(digits, comps):
+        exps = (exps + np.outer(row * (order // o), row)) % order
+    tables, prefixes = {}, {}
+    for p in moduli:
+        zeta = pow(modmath.primitive_root(p), (p - 1) // order, p)
+        tab = np.zeros((len(units), m), dtype=np.uint64)
+        tab[:, units] = modmath.power_table(zeta, order, p)[exps]
+        # entries are below 2^32, so no row sum reaches 2^64 while m < 2^32
+        pre = np.cumsum(tab, axis=1)
+        pre %= np.uint64(p)
+        tables[p], prefixes[p] = tab, pre
+    return [MultiplicativeWeight(
+        "character", char_mod=m,
+        tables={p: tables[p][k] for p in moduli},
+        prefix_tables={p: (int(prefixes[p][k, -1]), prefixes[p][k])
+                       for p in moduli})
+        for k in range(len(units))]
 
 
 # --- pipeline helpers -----------------------------------------------------
@@ -304,9 +271,9 @@ def _celltops_desc(params):
     return params.bounds_np[1:top + 2][::-1] - 1
 
 
-def _pi_pipeline(n, config, weights):
+def _pi_pipeline(n, config, weights, moduli):
     """Shared transform core: returns (per-modulus rows of approx sums, one
-    per weight; params, primes, moduli, timings)."""
+    per weight; params, primes, timings)."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -317,7 +284,6 @@ def _pi_pipeline(n, config, weights):
     primes = sieve.primes_up_to(bound)
     timings["primes"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    moduli = config.modulus_pair()
     celltops = _celltops_desc(params)
     threads = config.resolved_threads()
 
@@ -330,7 +296,7 @@ def _pi_pipeline(n, config, weights):
 
     approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
     timings["convolution"] = time.perf_counter() - t0
-    return approx, params, primes, moduli, timings
+    return approx, params, primes, timings
 
 
 def _correction(params, config, timings, **kwargs):
@@ -350,7 +316,8 @@ def _correction(params, config, timings, **kwargs):
 
 def _prime_sum_result(function, n, weight, config, extra):
     """Sum of h(p) over primes p <= n through the main pipeline."""
-    approx, params, primes, moduli, timings = _pi_pipeline(n, config, [weight])
+    moduli = modmath.DEFAULT_MODULI
+    approx, params, primes, timings = _pi_pipeline(n, config, [weight], moduli)
     corr, counts = _correction(params, config, timings, weight=weight,
                                moduli=moduli)
     if weight.is_unit:
@@ -379,7 +346,7 @@ def count_primes_result(n, config=None):
         value = oracles.pi_naive(n)
         return ResultBundle("pi", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0})
-    return _prime_sum_result("pi", n, MultiplicativeWeight.unit(), config, {})
+    return _prime_sum_result("pi", n, MultiplicativeWeight.power(0), config, {})
 
 
 def count_primes(n, config=None):
@@ -399,7 +366,7 @@ def sum_over_primes_result(n, power=1, config=None):
         return ResultBundle("sum-primes", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0},
                             {"power": power})
-    _check_sum_range(n, power, config.modulus_pair())
+    _check_sum_range(n, power, modmath.DEFAULT_MODULI)
     return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
 
 
@@ -440,19 +407,17 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         return ResultBundle("pi-mod", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0},
                             {"modulus": modulus, "residue": residue})
-    phi_m = 1
-    for q, e in modmath.factorize(modulus):
-        phi_m *= (q - 1) * q ** (e - 1)
-    pair = _select_moduli(phi_m, config)
+    phi_m = math.prod((q - 1) * q ** (e - 1)
+                      for q, e in modmath.factorize(modulus))
+    pair = _select_moduli(phi_m)
     # the character transforms and the per-class correction depend on no
     # residue, cutoff, chunk size or thread count; cache them so that every
     # residue of one modulus shares one transform run and one correction pass
     key = (n, modulus, pair, Fraction(config.delta_scale))
     cached = _char_pipeline_cache.get(key)
     if cached is None:
-        chars, _ = _character_weights(modulus, pair)
-        cfg = Config(**{**config.__dict__, "moduli": pair})
-        approx, params, primes, _, timings = _pi_pipeline(n, cfg, chars)
+        chars = _character_weights(modulus, pair)
+        approx, params, primes, timings = _pi_pipeline(n, config, chars, pair)
         classes, extra = _correction(params, config, timings, modulus=modulus)
         # a hit reports the chunk and worker counts of the pass that filled
         # the entry
@@ -475,7 +440,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         inv_phi = pow(phi_m, -1, p)
         s = 0
         for k, w in enumerate(chars):
-            s = (s + int(w._tables[p][r_inv]) * rows[k]) % p
+            s = (s + w.value_at(r_inv, p) * rows[k]) % p
         residues.append((s * inv_phi - classes[residue] - indicator + small) % p)
     value = modmath.crt_combine(residues, pair)
     timings["combine"] = time.perf_counter() - t0
@@ -488,13 +453,7 @@ def count_primes_mod(n, modulus, residue, config=None):
     return count_primes_mod_result(n, modulus, residue, config).value
 
 
-def _select_moduli(phi_m, config):
-    if config.moduli is not None:
-        pair = config.moduli
-        if any((p - 1) % phi_m for p in pair):
-            raise ModulusSupportError(
-                f"configured moduli do not admit characters of order {phi_m}")
-        return pair
+def _select_moduli(phi_m):
     pool = [p for p in modmath.NTT_PRIMES if (p - 1) % phi_m == 0]
     if len(pool) < 2:
         raise ModulusSupportError(
@@ -558,7 +517,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
         if delta is None:
             delta = _pipeline_delta(n_max, config)
         params_max = segmentation.make_params(n_max, delta)
-        moduli = config.modulus_pair()
+        moduli = modmath.DEFAULT_MODULI
         # cell array of mu up to the truncation, exact then per-modulus
         cells = segmentation.cell_index_vec(
             np.arange(1, trunc + 1, dtype=np.uint64), params_max)
@@ -574,7 +533,8 @@ def mertens_multi(ns, trunc, config=None, delta=None):
         timings["convolution"] = time.perf_counter() - t0
         for n_i in big:
             t1 = time.perf_counter()
-            sub = _reindexed(params_max, n_i)
+            sub = replace(params_max, n=n_i, window=None,
+                          top_cell=segmentation.cell_index(n_i, params_max))
             top = sub.top_cell
             tops = _celltops_desc(sub)
             residues = []
@@ -590,13 +550,6 @@ def mertens_multi(ns, trunc, config=None, delta=None):
                 error_correction.triple_window(sub), tuple(moduli), sub_t,
                 {"trunc": trunc})
     return [results[n_i] for n_i in ns]
-
-
-def _reindexed(params, n_new):
-    top = segmentation.cell_index(n_new, params)
-    return segmentation.SegParams(
-        n=n_new, delta=params.delta, top_cell=top, window=None,
-        bounds=params.bounds, bounds_np=params.bounds_np)
 
 
 def count_squarefree_result(n, config=None):
@@ -641,7 +594,7 @@ def count_squarefree_result(n, config=None):
             total += (bundle.value - m_d) * pending[bundle.n]
         timings["mertens"] = time.perf_counter() - t0
     return ResultBundle("squarefree", n, total, None, None,
-                        config.modulus_pair() if pending else None, timings)
+                        modmath.DEFAULT_MODULI if pending else None, timings)
 
 
 def count_squarefree(n, config=None):
@@ -697,7 +650,7 @@ def totient_sum_result(n, config=None):
             total += bundle.value * pending[bundle.n]
         timings["mertens"] = time.perf_counter() - t0
     return ResultBundle("totient-sum", n, total, None, None,
-                        config.modulus_pair() if pending else None, timings)
+                        modmath.DEFAULT_MODULI if pending else None, timings)
 
 
 def totient_sum(n, config=None):

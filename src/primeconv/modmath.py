@@ -56,7 +56,7 @@ def _bit_reversal(length):
     return rev
 
 
-def _power_table(base, count, modulus):
+def power_table(base, count, modulus):
     """[base^0, base^1, ..., base^(count-1)] mod modulus as uint64."""
     out = np.empty(max(count, 1), dtype=np.uint64)
     out[0] = 1
@@ -100,7 +100,7 @@ class NttContext:
 
     def _stage_tables(self, base):
         half = self.length // 2
-        full = _power_table(base, max(half, 1), self.modulus)
+        full = power_table(base, max(half, 1), self.modulus)
         tables = []
         m = 2
         while m <= self.length:

@@ -239,7 +239,9 @@ def test_criterion_5_identity_suite(capsys):
             key = (lbits, j)
             if key not in band_params:
                 band_params[key] = seg.make_params((1 << lbits) - 1, delta)
-            params = counting._reindexed(band_params[key], n)
+            params = dataclasses.replace(
+                band_params[key], n=n, window=None,
+                top_cell=seg.cell_index(n, band_params[key]))
             top = params.top_cell
             window = seg.window_size(n, delta)
             cells = [seg.cell_index(p, params) for p in primes]

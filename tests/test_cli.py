@@ -100,6 +100,10 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nonsense", "5")[0] == 2
     assert run_cli(capsys, "pi", "-5")[0] == 2
     assert run_cli(capsys, "pi-mod", "100", "--modulus", "4", "--residue", "2")[0] == 2
+    # a factor below 2 or a start below 1 never grows past --to
+    assert run_cli(capsys, "bench", "--from", "1000", "--to", "2000",
+                   "--factor", "1")[0] == 2
+    assert run_cli(capsys, "bench", "--from", "0", "--to", "10")[0] == 2
 
 
 def test_negative_chunk_size_exits_2(capsys, monkeypatch):
@@ -113,14 +117,22 @@ def test_negative_chunk_size_exits_2(capsys, monkeypatch):
     # the other fields go through the same check as the library's
     for flag, value, field in (("--threads", "-2", "threads"),
                                ("--cutoff", "-1", "cutoff"),
-                               ("--delta-scale", "0", "delta scale")):
+                               ("--delta-scale", "0", "delta scale"),
+                               ("--delta-scale", "1/0", "delta scale")):
         code, _, err = run_cli(capsys, flag, value, "pi", "1000")
-        assert code == 2 and field in err, flag
+        assert code == 2 and field in err, (flag, value)
+    monkeypatch.setenv("PRIMECONV_DELTA_SCALE", "1/0")
+    code, _, err = run_cli(capsys, "pi", "1000")
+    assert code == 2 and "delta scale" in err
 
 
 def test_range_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "sum-primes", "100000000", "--power", "4")
     assert code == 3 and "range" in err
+    # phi(11) = 10 divides p - 1 for one pool prime only
+    code, _, err = run_cli(capsys, "pi-mod", "1000000", "--modulus", "11",
+                           "--residue", "1")
+    assert code == 3 and "order 10" in err
 
 
 def test_verify_passes_and_mismatch_exits_4(capsys, monkeypatch):

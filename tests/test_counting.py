@@ -42,13 +42,13 @@ def test_count_primes_rejects_out_of_range():
         primeconv.count_primes(10 ** 12 + 1)
 
 
-def test_crt_consistency_across_modulus_pairs():
+def test_crt_consistency_across_modulus_pairs(monkeypatch):
     n = 2 * 10 ** 5 + 7
     base = primeconv.count_primes(n)
     for pair in ((modmath.NTT_PRIMES[0], modmath.NTT_PRIMES[2]),
                  (modmath.NTT_PRIMES[1], modmath.NTT_PRIMES[2])):
-        cfg = counting.Config(moduli=pair)
-        assert primeconv.count_primes(n, cfg) == base
+        monkeypatch.setattr(modmath, "DEFAULT_MODULI", pair)
+        assert primeconv.count_primes(n) == base
 
 
 def test_sum_over_primes_examples():
@@ -99,10 +99,9 @@ def test_count_primes_mod_needs_compatible_pool():
     # phi = 6 forces the pool pair whose orders include a factor of three
     got = primeconv.count_primes_mod(2 * 10 ** 5, 7, 3, FAST)
     assert got == oracles.pi_mod_naive(2 * 10 ** 5, 7, 3)
-    cfg = counting.Config(cutoff=500,
-                          moduli=(modmath.NTT_PRIMES[0], modmath.NTT_PRIMES[1]))
+    # phi(11) = 10 divides p - 1 for one pool prime only
     with pytest.raises(counting.ModulusSupportError):
-        primeconv.count_primes_mod(2 * 10 ** 5, 7, 3, cfg)
+        primeconv.count_primes_mod(2 * 10 ** 5, 11, 3, FAST)
 
 
 def test_mertens_examples_and_random():
@@ -324,25 +323,54 @@ def test_weight_prefix_vectors():
     assert unit.is_unit
 
 
+def _character_table(m):
+    """The characters mod m, their pair and, per prime of the pair, their
+    phi x m value table; phi comes from the factorization of m."""
+    phi = math.prod((q - 1) * q ** (e - 1) for q, e in modmath.factorize(m))
+    pair = counting._select_moduli(phi)
+    chars = counting._character_weights(m, pair)
+    assert len(chars) == phi
+    n = np.arange(m)
+    return chars, pair, {p: np.stack([w.values_vec(n, p) for w in chars])
+                         for p in pair}
+
+
 def test_character_tables_orthogonal():
-    for m in (3, 4, 5, 7, 8, 12, 30):
-        pair = counting._select_moduli(
-            math.prod((q - 1) * q ** (e - 1)
-                      for q, e in modmath.factorize(m)),
-            counting.Config())
-        chars, group = counting._character_weights(m, pair)
-        p = pair[0]
+    # 9 and 16 are prime powers with one and two cyclic factors; 144 = 16 * 9
+    # combines them
+    for m in (3, 4, 5, 7, 8, 9, 12, 16, 30, 144):
+        chars, pair, tables = _character_table(m)
+        phi, p = len(chars), pair[0]
+        tab = tables[p]
+        units = [n for n in range(m) if math.gcd(n, m) == 1]
+        inverses = [pow(n, -1, m) for n in units]
         # row orthogonality: sum over n of chi(n) conj-chi'(n) = phi * [k==k']
-        for a in range(len(chars)):
-            for b in range(len(chars)):
-                s = 0
-                for n in range(m):
-                    if math.gcd(n, m) != 1:
-                        continue
-                    va = int(chars[a]._tables[p][n])
-                    vb = int(chars[b]._tables[p][pow(n, -1, m)])
-                    s = (s + va * vb) % p
-                assert s == (group.phi % p if a == b else 0), (m, a, b)
+        for a in range(phi):
+            s = tab[a, units] * tab[:, inverses] % np.uint64(p)
+            s = s.sum(axis=1) % np.uint64(p)
+            expect = np.zeros(phi, dtype=np.uint64)
+            expect[a] = phi % p
+            assert np.array_equal(s, expect), (m, a)
+
+
+def test_character_tables_are_characters_at_1024():
+    m = 1024
+    chars, pair, tables = _character_table(m)
+    phi = len(chars)
+    assert phi == 512
+    rng = random.Random(1024)
+    a = np.array([rng.randrange(m) for _ in range(200)])
+    b = np.array([rng.randrange(m) for _ in range(200)])
+    coprime = np.array([math.gcd(n, m) == 1 for n in range(m)])
+    for p in pair:
+        tab = tables[p]
+        # completely multiplicative, also where a or b shares a factor with m
+        assert np.array_equal(tab[:, a] * tab[:, b] % np.uint64(p),
+                              tab[:, a * b % m])
+        assert np.array_equal(tab != 0, np.broadcast_to(coprime, tab.shape))
+        assert len(np.unique(tab, axis=0)) == phi
+    # the principal character has ell = 0 too, but it is not the unit weight
+    assert not chars[0].is_unit
 
 
 def test_thread_count_neutral_for_values():

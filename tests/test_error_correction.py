@@ -222,7 +222,7 @@ def test_pairs_weighted_and_residue_modes():
         for c in range(q):
             assert got[c] == expect[c], (q, c)
     # the unit weight takes the same path
-    unit = counting.MultiplicativeWeight.unit()
+    unit = counting.MultiplicativeWeight.power(0)
     assert (ec.pairs_correction(params, bound, weight=unit, moduli=[P1, P2],
                                 modulus=4) == _class_vector(n, delta, 4))
 

@@ -10,7 +10,7 @@ from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 from primeconv import smooth_mobius as sm
 
 P1, P2 = modmath.DEFAULT_MODULI
-UNIT = counting.MultiplicativeWeight.unit()
+UNIT = counting.MultiplicativeWeight.power(0)
 
 
 def enum_mobius_cells(prime_list, cells, top, signs=None):
