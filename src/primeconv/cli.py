@@ -110,7 +110,13 @@ def _run_function(name, args, config):
     raise AssertionError(name)
 
 
-def _run_oracle(name, n, power=1, modulus=None, residue=None):
+def _run_oracle(name, n, config, power=1, modulus=None, residue=None):
+    """The brute-force reference, after the same argument checks as the
+    main commands."""
+    if name == "pi-mod" and (modulus is None or residue is None):
+        raise ValueError("pi-mod oracle needs --modulus and --residue")
+    counting.check_arguments(name, n, config, power=power, modulus=modulus,
+                             residue=residue)
     if name == "pi":
         return oracles.pi_naive(n)
     if name == "mertens":
@@ -118,8 +124,6 @@ def _run_oracle(name, n, power=1, modulus=None, residue=None):
     if name == "sum-primes":
         return oracles.sum_primes_naive(n, power)
     if name == "pi-mod":
-        if modulus is None or residue is None:
-            raise ValueError("pi-mod oracle needs --modulus and --residue")
         return oracles.pi_mod_naive(n, modulus, residue)
     if name == "squarefree":
         return oracles.sqfree_naive(n)
@@ -209,7 +213,7 @@ def main(argv=None):
             return _bench(args, config, args.json)
         if args.command == "oracle":
             t0 = time.perf_counter()
-            value = _run_oracle(args.function, args.n, args.power,
+            value = _run_oracle(args.function, args.n, config, args.power,
                                 args.modulus, args.residue)
             elapsed = time.perf_counter() - t0
             bundle = counting.ResultBundle(f"oracle-{args.function}", args.n,
@@ -227,7 +231,7 @@ def main(argv=None):
                 kw["modulus"] = args.modulus
                 kw["residue"] = args.residue
             t1 = time.perf_counter()
-            expected = _run_oracle(args.command, args.n, **kw)
+            expected = _run_oracle(args.command, args.n, config, **kw)
             report = oracles.OracleReport(
                 function=args.command, n=args.n, oracle_value=expected,
                 main_value=bundle.value, match=expected == bundle.value,

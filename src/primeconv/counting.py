@@ -72,14 +72,16 @@ class MultiplicativeWeight:
     """Completely multiplicative weight with O(1) prefix sums per modulus.
 
     Two kinds: n -> n^ell (ell = 0 is the unit weight) and Dirichlet
-    characters (whose values live in the NTT prime fields as roots of unity).
+    characters (whose values live in the NTT prime fields as roots of unity),
+    which carry their (digit, order) pair per cyclic factor of (Z/m)*.
     """
 
     def __init__(self, kind, ell=0, char_mod=0, tables=None,
-                 prefix_tables=None):
+                 prefix_tables=None, char_digits=()):
         self.kind = kind
         self.ell = ell
         self.char_mod = char_mod
+        self.char_digits = char_digits
         self._tables = tables or {}
         self._prefix_tables = prefix_tables or {}
 
@@ -92,6 +94,14 @@ class MultiplicativeWeight:
     @property
     def is_unit(self):
         return self.kind == "power" and self.ell == 0
+
+    def power_key(self, r):
+        """Names the weight h^r: n^(ell r), or the character whose digits
+        are r times these. Equal keys mean equal values at every prime."""
+        if self.kind == "power":
+            return ("power", self.ell * r)
+        return ("character", self.char_mod,
+                tuple(r * a % o for a, o in self.char_digits))
 
     def value_at(self, n, modulus):
         if self.kind == "power":
@@ -225,11 +235,13 @@ def _character_weights(m, moduli):
         pre = np.cumsum(tab, axis=1)
         pre %= np.uint64(p)
         tables[p], prefixes[p] = tab, pre
+    orders = [o for _, o in comps]
     return [MultiplicativeWeight(
         "character", char_mod=m,
         tables={p: tables[p][k] for p in moduli},
         prefix_tables={p: (int(prefixes[p][k, -1]), prefixes[p][k])
-                       for p in moduli})
+                       for p in moduli},
+        char_digits=tuple(zip(digits[:, k].tolist(), orders)))
         for k in range(len(units))]
 
 
@@ -254,10 +266,25 @@ def check_config(config):
         raise ValueError("delta scale must be positive")
 
 
-def _check_supported(n, config):
+def check_arguments(function, n, config, *, power=1, modulus=1, residue=0):
+    """Refuse arguments that `function` (a CLI name) never accepts, whichever
+    route would answer: the pipeline, the direct sieves below the cutoff or
+    the oracle subcommand. power and modulus/residue are read by sum-primes
+    and pi-mod only."""
     check_config(config)
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > config.max_n:
         raise ValueError(f"n = {n} exceeds the supported range {config.max_n}")
+    if function == "sum-primes":
+        MultiplicativeWeight.power(power)  # refuses exponents outside 0..16
+    if function == "pi-mod":
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        if modulus > config.max_character_modulus:
+            raise ValueError(f"modulus {modulus} above configured bound")
+        if math.gcd(modulus, residue) != 1:
+            raise ValueError("residue must be coprime to the modulus")
 
 
 def _prefix_dot(arr, weights_mod, modulus):
@@ -288,11 +315,10 @@ def _pi_pipeline(n, config, weights, moduli):
     threads = config.resolved_threads()
 
     def one_modulus(p):
-        rows = []
-        for w in weights:
-            mob = smooth_mobius.smooth_mobius_cells(primes, params, p, weight=w)
-            rows.append(_prefix_dot(mob, w.prefix_vec(celltops, p), p))
-        return rows
+        mob = smooth_mobius.smooth_mobius_cells(primes, params, p,
+                                                weights=weights)
+        return [_prefix_dot(row, w.prefix_vec(celltops, p), p)
+                for row, w in zip(mob, weights)]
 
     approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
     timings["convolution"] = time.perf_counter() - t0
@@ -329,7 +355,7 @@ def _prime_sum_result(function, n, weight, config, extra):
         residues.append((a - err - 1 + tail) % p)
     value = modmath.crt_combine(residues, moduli)
     timings["combine"] = time.perf_counter() - t0
-    extra["transform_length"] = smooth_mobius.transform_length(primes, params)
+    extra.update(smooth_mobius.transform_counters(primes, params, [weight]))
     extra.update(counts)
     return ResultBundle(function, n, value, params.delta, params.window,
                         tuple(moduli), timings, extra)
@@ -338,9 +364,7 @@ def _prime_sum_result(function, n, weight, config, extra):
 def count_primes_result(n, config=None):
     """Exact number of primes <= n."""
     config = config or DEFAULT_CONFIG
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_supported(n, config)
+    check_arguments("pi", n, config)
     if n < config.cutoff:
         t0 = time.perf_counter()
         value = oracles.pi_naive(n)
@@ -356,9 +380,7 @@ def count_primes(n, config=None):
 def sum_over_primes_result(n, power=1, config=None):
     """Exact sum of p^power over primes p <= n."""
     config = config or DEFAULT_CONFIG
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_supported(n, config)
+    check_arguments("sum-primes", n, config, power=power)
     weight = MultiplicativeWeight.power(power)
     if n < config.cutoff:
         t0 = time.perf_counter()
@@ -388,18 +410,12 @@ def _check_sum_range(n, power, moduli):
 def count_primes_mod_result(n, modulus, residue, config=None):
     """Exact number of primes p <= n with p = residue (mod modulus)."""
     config = config or DEFAULT_CONFIG
-    if n < 0 or modulus < 1:
-        raise ValueError("need n >= 0 and modulus >= 1")
-    if modulus > config.max_character_modulus:
-        raise ValueError(f"modulus {modulus} above configured bound")
-    if math.gcd(modulus, residue) != 1:
-        raise ValueError("residue must be coprime to the modulus")
+    check_arguments("pi-mod", n, config, modulus=modulus, residue=residue)
     if modulus == 1:
         bundle = count_primes_result(n, config)
         bundle.function = "pi-mod"
         bundle.extra.update({"modulus": 1, "residue": 0})
         return bundle
-    _check_supported(n, config)
     residue %= modulus
     if n < config.cutoff:
         t0 = time.perf_counter()
@@ -421,7 +437,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         classes, extra = _correction(params, config, timings, modulus=modulus)
         # a hit reports the chunk and worker counts of the pass that filled
         # the entry
-        extra["transform_length"] = smooth_mobius.transform_length(primes, params)
+        extra.update(smooth_mobius.transform_counters(primes, params, chars))
         cached = (chars, approx, params, primes, classes, extra)
         _char_pipeline_cache[key] = cached
         # list() snapshots the keys at once; a concurrent eviction may have
@@ -464,9 +480,7 @@ def _select_moduli(phi_m):
 def mertens_result(n, config=None):
     """Exact Mertens function: sum of mu(k) for k <= n."""
     config = config or DEFAULT_CONFIG
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_supported(n, config)
+    check_arguments("mertens", n, config)
     if n < config.cutoff:
         t0 = time.perf_counter()
         value = oracles.mertens_naive(n)
@@ -555,9 +569,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
 def count_squarefree_result(n, config=None):
     """Exact count of square-free integers <= n."""
     config = config or DEFAULT_CONFIG
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_supported(n, config)
+    check_arguments("squarefree", n, config)
     if n < config.cutoff:
         t0 = time.perf_counter()
         value = oracles.sqfree_naive(n)
@@ -613,9 +625,7 @@ def _icbrt(n):
 def totient_sum_result(n, config=None):
     """Exact totient summatory function: sum of phi(k) for k <= n."""
     config = config or DEFAULT_CONFIG
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_supported(n, config)
+    check_arguments("totient-sum", n, config)
     if n < config.cutoff:
         t0 = time.perf_counter()
         value = oracles.totient_sum_naive(n)

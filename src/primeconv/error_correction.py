@@ -52,8 +52,9 @@ def _auto_chunk(total, chunk_size):
         return chunk_size
     # capped: at 2^22 entries one job peaks near 90 MB (unit weight), and
     # longer chunks are slower, not faster: pairs_correction(10^11) took
-    # 7.3-7.6 s with this cap and 12.4-12.8 s with S/8 = 11.25M-entry
-    # chunks (2 threads, 2-CPU VM)
+    # 14.0 s with this cap (two workers) and 21.1 s with S/8 = 11.25M-entry
+    # chunks, where the memory budget leaves one worker (single runs with
+    # threads=2 on a 2-CPU VM)
     return min(1 << 22, max(1 << 20, (total >> 3) + 1))
 
 

@@ -1,15 +1,17 @@
 """Smooth-Mobius segment arrays.
 
 The cell array of the truncated Mobius function (optionally weighted by a
-completely multiplicative function) is assembled from arrays counting products
-of r distinct primes. Those satisfy a Newton-identities-style recurrence
-against the arrays of r-th prime powers, which is solved per Fourier
-coefficient as a power-series exponential. The primes are split into size
-ranges so that each range needs only a few orders r. Every range works at one
-shared power-of-two transform length, long enough for the product of all the
-ranges' alternating sums, so the ranges multiply pointwise into one
-accumulator that a single inverse transform ends; the exponentials run over
-BLOCK Fourier columns at a time. `oracles.newton_direct` solves the same
+completely multiplicative h) is a product over size ranges of the primes of
+each range's alternating sum of products-of-r-distinct-primes arrays. All
+ranges work at one shared power-of-two transform length, so they multiply
+pointwise into one accumulator per weight that one inverse transform ends.
+An untruncated range (r_used equal to its prime count) is the direct
+product prod_p (1 - h(p) x^k_p), multiplied in column by column. A truncated
+range solves a Newton-identities-style recurrence against the r-th prime
+power arrays per Fourier column, as a power-series exponential over BLOCK
+columns at a time; the order-r array of h is the order-1 array of h^r
+dilated by r, so each distinct h^r costs one forward transform, shared by
+all the weights of a call. `oracles.newton_direct` solves the same
 recurrence in the time domain as the independent reference.
 """
 
@@ -21,9 +23,13 @@ import numpy as np
 from . import modmath, segmentation
 
 
-# Fourier columns per block of the power-series exponentials: bounds the
-# (r_used + 1) x BLOCK stacks they work on, whatever the transform length
+# Fourier columns per block of the power-series exponentials, summed over
+# the weights of one pass: bounds the (r_used + 1) x BLOCK stacks they work
+# on, whatever the transform length
 BLOCK = 1 << 12
+
+# bytes that one pass over a group of weights may hold (see _weight_groups)
+_MEMORY_BUDGET = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,9 @@ class PrimePartition:
 
 
 def prime_cell_sums(primes, params, modulus, *, weight=None, power=1,
-                    length=None):
-    """Cell array of h(p^power) mod modulus scattered at power * cell_index(p).
+                    exponent=None, length=None):
+    """Cell array of h(p^exponent) mod modulus scattered at
+    power * cell_index(p); exponent defaults to power.
 
     With the unit weight (None) this counts primes per cell (power=1) or
     marks r-th powers (power=r). Truncated to `length` (default top_cell + 1).
@@ -53,7 +60,8 @@ def prime_cell_sums(primes, params, modulus, *, weight=None, power=1,
     if weight is None:
         vals = np.ones(int(keep.sum()), dtype=np.uint64)
     else:
-        vals = weight.prime_power_values(primes[keep], power, modulus)
+        vals = weight.prime_power_values(
+            primes[keep], power if exponent is None else exponent, modulus)
     np.add.at(out, idx[keep], vals)
     return out % np.uint64(modulus)
 
@@ -118,58 +126,147 @@ def _shared_length(ranges):
     return 1 << (need - 1).bit_length()
 
 
-def smooth_mobius_cells(primes, params, modulus, *, weight=None):
+def smooth_mobius_cells(primes, params, modulus, *, weight=None,
+                        weights=None):
     """Cell array of the truncated-Mobius mass, weighted by h, modulo modulus.
 
     Entry k holds sum of h(n) * mu(n) over square-free n composed of the given
-    primes with factored cell index k, truncated at top_cell. Per Fourier
-    coefficient, the order-r product arrays are read off a power-series
-    exponential of the prime-power transforms. `weight` is None or a unit
-    weight for h = 1.
+    primes with factored cell index k, truncated at top_cell. `weight` is
+    None (h = 1) or one weight; `weights`, a list, returns one row per
+    weight instead, the rows sharing each range's order-1 transforms.
     """
     if 2 * params.delta > 1:
         raise ValueError("smooth Mobius cells need delta <= 1/2")
     top = params.top_cell
     primes = np.asarray(primes, dtype=np.int64)
     parts = make_partitions(primes, params)
-    # one accumulator at the shared length, ended by one inverse transform
     ctx = modmath.get_context(modulus, parts[0].pad_length if parts else 1)
-    acc = np.ones(ctx.length, dtype=np.uint64)
-    for part in parts:
-        _multiply_partition(acc, primes[part.lo:part.hi], part.r_used,
-                            params, ctx, weight)
-    out = np.zeros(top + 1, dtype=np.uint64)
-    res = modmath.ntt_inverse(acc, ctx)[:top + 1]
-    out[:len(res)] = res
-    return out
+    rows = [weight] if weights is None else list(weights)
+    out = np.zeros((len(rows), top + 1), dtype=np.uint64)
+    for lo, hi in _weight_groups(rows, parts, ctx.length):
+        # one accumulator per weight at the shared length, each ended by
+        # one inverse transform
+        acc = np.ones((hi - lo, ctx.length), dtype=np.uint64)
+        for part in parts:
+            sub = primes[part.lo:part.hi]
+            if _truncated(part):
+                _multiply_truncated(acc, sub, part.r_used, params, ctx,
+                                    rows[lo:hi])
+            else:
+                _multiply_product(acc, sub, params, ctx, rows[lo:hi])
+        for i, row in enumerate(acc):
+            res = modmath.ntt_inverse(row, ctx)[:top + 1]
+            out[lo + i, :len(res)] = res
+    return out[0] if weights is None else out
 
 
-def _multiply_partition(acc, sub, r_used, params, ctx, weight):
-    """Multiply the transform `acc` by that of sum_r (-1)^r c_r, where c_r
-    counts products of r distinct primes of `sub`, BLOCK columns at a time."""
+def _truncated(part):
+    return part.r_used < part.hi - part.lo
+
+
+def _power_key(weight, r):
+    """Equal for two (weight, r) whose h^r agree on every prime, so that
+    their order-1 transforms coincide. A weight that cannot name its powers
+    (any object with prime_power_values alone) gets one key per order."""
+    if weight is None:
+        return ("power", 0)
+    if hasattr(weight, "power_key"):
+        return weight.power_key(r)
+    return (id(weight), r)
+
+
+def _range_keys(weights, r_used):
+    return {_power_key(w, r) for w in weights for r in range(1, r_used + 1)}
+
+
+def _weight_groups(weights, parts, length):
+    """[lo, hi) runs of the weights that one pass holds at once: their
+    length-L accumulators plus the order-1 transforms of one truncated range
+    take at most half of _MEMORY_BUDGET, leaving the rest to one transform's
+    temporaries and the column blocks. A run holds at least one weight."""
+    r_max = max((part.r_used for part in parts if _truncated(part)),
+                default=0)
+    cap = _MEMORY_BUDGET // (2 * 8 * length)
+    groups, lo, keys = [], 0, set()
+    for i, w in enumerate(weights):
+        new = keys | _range_keys([w], r_max)
+        if i > lo and i + 1 - lo + len(new) > cap:
+            groups.append((lo, i))
+            lo, new = i, _range_keys([w], r_max)
+        keys = new
+    return groups + [(lo, len(weights))]
+
+
+def transform_counters(primes, params, weights):
+    """The --json counters of smooth_mobius_cells over `weights`:
+    `transform_length`, [prime count, r_used] per range (`partitions`) and
+    the forward transforms per NTT prime (`forward_transforms`)."""
+    length = transform_length(primes, params)
+    parts = [PrimePartition(lo, hi, r_used, length)
+             for lo, hi, r_used, _ in _size_ranges(primes, params)]
+    forward = sum(len(_range_keys(weights[lo:hi], part.r_used))
+                  for lo, hi in _weight_groups(weights, parts, length)
+                  for part in parts if _truncated(part))
+    return {"transform_length": length,
+            "partitions": [[part.hi - part.lo, part.r_used] for part in parts],
+            "forward_transforms": forward}
+
+
+def _multiply_product(acc, sub, params, ctx, weights):
+    """Multiply each row of `acc` by the transform of prod_p (1 - h(p) x^k_p)
+    over a range whose r_used is its prime count: at column j that is
+    prod_p (1 - h(p) w^(j k_p)) for the transform's root w, one power table
+    of w^k_p and one multiplication per prime, with no forward transform."""
+    modulus, p = ctx.modulus, np.uint64(ctx.modulus)
+    cells = segmentation.cell_index_vec(sub.astype(np.uint64), params)
+    hs = [np.ones(len(sub), dtype=np.uint64) if w is None
+          else w.prime_power_values(sub, 1, modulus) for w in weights]
+    for t, k in enumerate(cells.tolist()):
+        col_roots = modmath.power_table(pow(ctx.root, k, modulus), ctx.length,
+                                        modulus)
+        for row, h in zip(acc, hs):
+            if h[t]:
+                # p + 1 - x is 1 - x mod p, and below 2^32 for x < p
+                row *= p + 1 - h[t] * col_roots % p
+                row %= p
+
+
+def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
+    """Multiply each row of `acc` by the transform of sum_r (-1)^r c_r, where
+    c_r counts products of r distinct primes of `sub` weighted by h.
+
+    The order-r prime-power array sum_p h(p)^r x^(r k_p) is the order-1
+    array of h^r dilated by r, so its transform is T1(h^r)[j r mod L]
+    (exact, since L > r_used * kb_max). Each distinct h^r (see _power_key)
+    costs one forward transform; the exponentials run over BLOCK columns of
+    all the rows at a time."""
     modulus, length = ctx.modulus, ctx.length
     p = np.uint64(modulus)
-    if weight is None or weight.is_unit:
-        # the order-r array of the unit weight dilates the order-1 array by r
-        e1t = modmath.ntt_forward(
-            prime_cell_sums(sub, params, modulus, length=length), ctx)
-
-        def e_tilde(r, cols):
-            return e1t[cols * r % length]
-    else:
-        ets = [modmath.ntt_forward(
-            prime_cell_sums(sub, params, modulus, weight=weight, power=r,
-                            length=length), ctx) for r in range(1, r_used + 1)]
-
-        def e_tilde(r, cols):
-            return ets[r - 1][cols]
+    # t1[slot[r - 1][i]] is the order-1 transform of h_i^r
+    first = {}
+    for w in weights:
+        for r in range(1, r_used + 1):
+            first.setdefault(_power_key(w, r), (w, r))
+    t1 = None
+    for i, (w, r) in enumerate(first.values()):
+        row = modmath.ntt_forward(prime_cell_sums(
+            sub, params, modulus, weight=w, exponent=r, length=length), ctx)
+        if t1 is None:
+            # allocated after the first transform, whose temporaries are gone
+            t1 = np.empty((len(first), length), dtype=np.uint64)
+        t1[i] = row
+        del row  # not held through the next transform
+    index = {key: i for i, key in enumerate(first)}
+    slot = [np.array([index[_power_key(w, r)] for w in weights])[:, None]
+            for r in range(1, r_used + 1)]
     # exp(-sum_r e_r x^r / r) has coefficients (-1)^r c_r, so the
     # alternating sum is the plain sum of its coefficients
     neg_inv = [0] + [modulus - pow(r, -1, modulus) for r in range(1, r_used + 1)]
-    for start in range(0, length, BLOCK):
-        cols = np.arange(start, min(start + BLOCK, length))
-        f = np.zeros((r_used + 1, len(cols)), dtype=np.uint64)
+    width = max(1, BLOCK // len(weights))
+    for start in range(0, length, width):
+        cols = np.arange(start, min(start + width, length))
+        f = np.zeros((r_used + 1, len(weights), len(cols)), dtype=np.uint64)
         for r in range(1, r_used + 1):
-            f[r] = e_tilde(r, cols) * np.uint64(neg_inv[r]) % p
+            f[r] = t1[slot[r - 1], cols * r % length] * np.uint64(neg_inv[r]) % p
         c = modmath.power_series_exp(f, r_used + 1, modulus)
-        acc[cols] = acc[cols] * (c.sum(axis=0) % p) % p
+        acc[:, cols] = acc[:, cols] * (c.sum(axis=0) % p) % p

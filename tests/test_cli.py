@@ -1,8 +1,8 @@
 import json
 import math
 
-from primeconv import (cli, counting, error_correction, oracles, segmentation,
-                       sieve, smooth_mobius)
+from primeconv import (cli, counting, error_correction, modmath, oracles,
+                       segmentation, sieve, smooth_mobius)
 
 
 def run_cli(capsys, *argv):
@@ -41,13 +41,23 @@ def test_json_schema(capsys):
     assert obj["power"] == 2
 
 
-def test_json_carries_transform_length_and_plain_output_does_not(capsys):
+def test_json_carries_transform_length_and_plain_output_does_not(
+        capsys, monkeypatch):
     n = 200_000
     params = segmentation.make_params(
         n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
     primes = sieve.primes_up_to(math.isqrt(n))
-    (length,) = {part.pad_length
-                 for part in smooth_mobius.make_partitions(primes, params)}
+    parts = smooth_mobius.make_partitions(primes, params)
+    (length,) = {part.pad_length for part in parts}
+    partitions = [[part.hi - part.lo, part.r_used] for part in parts]
+    forward = []
+    real = modmath.ntt_forward
+
+    def counted(values, ctx):
+        forward.append(ctx.modulus)
+        return real(values, ctx)
+
+    monkeypatch.setattr(modmath, "ntt_forward", counted)
     counting._char_pipeline_cache.clear()
     # the second pi-mod residue reuses the cached character pipeline
     cases = ((["pi", str(n)], oracles.pi_naive(n)),
@@ -56,13 +66,25 @@ def test_json_carries_transform_length_and_plain_output_does_not(capsys):
               oracles.pi_mod_naive(n, 4, 1)),
              (["pi-mod", str(n), "--modulus", "4", "--residue", "3"],
               oracles.pi_mod_naive(n, 4, 3)))
+    runs = []
     for argv, value in cases:
+        forward.clear()
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == 0
         obj = json.loads(out)
         assert obj["result"] == value and obj["transform_length"] == length, argv
+        assert obj["partitions"] == partitions, argv
+        # per modulus, as run: the cached residue reports its entry's run
+        if forward:
+            runs.append(obj["forward_transforms"])
+            assert all(forward.count(p) == runs[-1] for p in obj["moduli"])
+        else:
+            assert obj["forward_transforms"] == runs[-1], argv
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == f"{value}\n", argv
+    # unit weight, power 1 (orders 1..r_used), both characters mod 4
+    truncated = [r for count, r in partitions if r < count]
+    assert runs == [len(truncated), sum(truncated), 2 * len(truncated)]
 
 
 
@@ -104,6 +126,13 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "bench", "--from", "1000", "--to", "2000",
                    "--factor", "1")[0] == 2
     assert run_cli(capsys, "bench", "--from", "0", "--to", "10")[0] == 2
+    # the oracle subcommand refuses what the main commands refuse
+    for argv in (["oracle", "sum-primes", "100", "--power", "-1"],
+                 ["oracle", "pi-mod", "100", "--modulus", "0", "--residue", "0"],
+                 ["oracle", "pi-mod", "100", "--modulus", "4", "--residue", "2"],
+                 ["oracle", "pi", "-5"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
 
 
 def test_negative_chunk_size_exits_2(capsys, monkeypatch):

@@ -310,18 +310,152 @@ def test_partitions_share_the_smallest_sufficient_length():
         assert length & (length - 1) == 0
 
 
-@pytest.mark.parametrize("weight", [UNIT, counting.MultiplicativeWeight.power(1)],
-                         ids=["unit", "power1"])
-def test_transform_memory_stays_blocked(weight):
-    # one length-L accumulator plus a partition's transforms and the NTT's
-    # temporaries, not (r_used + 1) x pad stacks: L = 2^17 at 10^9
-    n = 10 ** 9
+def engine_setup(n):
     params = seg.make_params(n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
-    primes = sieve.primes_up_to(math.isqrt(n))
+    return params, sieve.primes_up_to(math.isqrt(n))
+
+
+def traced_peak(call):
     tracemalloc.start()
     try:
-        sm.smooth_mobius_cells(primes, params, P1, weight=weight)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("weight", [UNIT, counting.MultiplicativeWeight.power(1),
+                                    "chars4"],
+                         ids=["unit", "power1", "chars4"])
+def test_transform_memory_stays_blocked(weight):
+    # one length-L accumulator per weight plus a partition's order-1
+    # transforms and the NTT's temporaries, not (r_used + 1) x pad stacks:
+    # L = 2^17 at 10^9
+    params, primes = engine_setup(10 ** 9)
+    if weight == "chars4":
+        chars = counting._character_weights(4, modmath.DEFAULT_MODULI)
+        call = lambda: sm.smooth_mobius_cells(primes, params, P1, weights=chars)
+    else:
+        call = lambda: sm.smooth_mobius_cells(primes, params, P1, weight=weight)
+    _, peak = traced_peak(call)
     assert peak < 24 << 20, peak
+    assert peak < sm._MEMORY_BUDGET, peak
+
+
+def test_large_character_group_runs_in_groups_under_the_budget(monkeypatch):
+    # phi(1024) = 512 characters: with a budget that holds about a quarter
+    # of them per pass, the passes stay under it and give the same rows
+    params, primes = engine_setup(2 * 10 ** 5)
+    chars = counting._character_weights(1024, modmath.DEFAULT_MODULI)
+    parts = sm.make_partitions(primes, params)
+    length = parts[0].pad_length
+    assert len(sm._weight_groups(chars, parts, length)) == 1
+    whole = sm.smooth_mobius_cells(primes, params, P1, weights=chars)
+    # the rows returned are not part of a pass
+    budget = 2 * 8 * length * 256 + whole.nbytes
+    monkeypatch.setattr(sm, "_MEMORY_BUDGET", budget)
+    assert len(sm._weight_groups(chars, parts, length)) >= 4
+    grouped, peak = traced_peak(
+        lambda: sm.smooth_mobius_cells(primes, params, P1, weights=chars))
+    assert np.array_equal(grouped, whole)
+    assert peak < budget, (peak, budget)
+
+
+def test_untruncated_ranges_are_direct_products(monkeypatch):
+    # the larger primes form one range with r_used = its prime count, well
+    # above top_cell // kb_min, next to a truncated range of the small ones
+    rng = random.Random(31)
+    for _ in range(8):
+        n = rng.randrange(2000, 10 ** 4)
+        delta = Fraction(1, rng.randrange(3 * n.bit_length(), 150))
+        params = seg.make_params(n, delta)
+        primes = sieve.primes_up_to(math.isqrt(n))
+        split = len(primes) // 2
+        small = sm._size_range(primes, 0, split, params)
+        kb_max = seg.cell_index(int(primes[-1]), params)
+        ranges = [small, (split, len(primes), len(primes) - split, kb_max)]
+        big = sm.PrimePartition(*ranges[1][:3], 0)
+        assert big.r_used > 3 and not sm._truncated(big)
+        length = sm._shared_length(ranges)
+        parts = [sm.PrimePartition(lo, hi, r, length) for lo, hi, r, _ in ranges]
+        monkeypatch.setattr(sm, "make_partitions", lambda *args: parts)
+        for p in (P1, P2):
+            got = sm.smooth_mobius_cells(primes, params, p)
+            assert np.array_equal(
+                got, alternating_newton(primes, n, delta, params, p)), (n, delta)
+        ref = weighted_mobius_cells([int(q) for q in primes], params) % P1
+        got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
+        assert np.array_equal(got, ref), (n, delta)
+        got = sm.smooth_mobius_cells(
+            primes, params, P1, weights=[counting.MultiplicativeWeight.power(1)])
+        assert np.array_equal(got[0], ref), (n, delta)
+
+
+def character_mobius_cells(primes, params, weight, modulus):
+    """Reference: scatter chi(m) * mu(m) over square-free products by cell."""
+    top = params.top_cell
+    cells = [seg.cell_index(q, params) for q in primes]
+    vals = [weight.value_at(q, modulus) for q in primes]
+    ref = [0] * (top + 1)
+
+    def walk(i, k, val):
+        ref[k] = (ref[k] + val) % modulus
+        for j in range(i, len(primes)):
+            if cells[j] + k <= top and vals[j]:
+                walk(j + 1, k + cells[j], -val * vals[j] % modulus)
+
+    walk(0, 0, 1)
+    return np.array(ref, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("m", [5, 16, 60])
+def test_character_powers_by_dilation(m):
+    # characters of order 4 map to characters of order 2 and to their
+    # conjugates under r = 2, 3, so the shared order-1 transforms are read
+    # for other rows than their own
+    n = 2 * 10 ** 5
+    params, primes = engine_setup(n)
+    assert max(part.r_used for part in sm.make_partitions(primes, params)
+               if sm._truncated(part)) >= 3
+    phi = math.prod((q - 1) * q ** (e - 1) for q, e in modmath.factorize(m))
+    pair = counting._select_moduli(phi)
+    chars = counting._character_weights(m, pair)
+    assert any(len({w.power_key(r) for r in range(1, 5)}) == 4 for w in chars)
+    rows = sm.smooth_mobius_cells(primes, params, pair[0], weights=chars)
+    qs = [int(q) for q in primes]
+    for k in (1, len(chars) - 1):
+        ref = character_mobius_cells(qs, params, chars[k], pair[0])
+        assert np.array_equal(rows[k], ref), (m, k)
+    config = counting.Config(cutoff=1000)
+    counting._char_pipeline_cache.clear()
+    for r in range(m):
+        if math.gcd(r, m) == 1:
+            got = counting.count_primes_mod(n + 1, m, r, config)
+            assert got == oracles.pi_mod_naive(n + 1, m, r), (m, r)
+
+
+def test_forward_transforms_per_modulus_at_1e9(monkeypatch):
+    # two truncated ranges at 10^9: the unit weight makes one forward
+    # transform each, power 1 one per order, and both characters mod 4
+    # share two per range
+    params, primes = engine_setup(10 ** 9)
+    assert [part.r_used for part in sm.make_partitions(primes, params)
+            if sm._truncated(part)] == [3, 7]
+    calls = []
+    real = modmath.ntt_forward
+
+    def counted(values, ctx):
+        calls.append(values.size)
+        return real(values, ctx)
+
+    monkeypatch.setattr(modmath, "ntt_forward", counted)
+    chars = counting._character_weights(4, modmath.DEFAULT_MODULI)
+    cases = (([UNIT], 2), ([counting.MultiplicativeWeight.power(1)], 10),
+             (chars, 4))
+    for weights, expect in cases:
+        calls.clear()
+        sm.smooth_mobius_cells(primes, params, P1, weights=weights)
+        assert len(calls) == expect
+        assert sm.transform_counters(primes, params, weights)[
+            "forward_transforms"] == expect
