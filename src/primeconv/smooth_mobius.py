@@ -189,11 +189,11 @@ def _weight_groups(weights, parts, length):
     cap = _MEMORY_BUDGET // (2 * 8 * length)
     groups, lo, keys = [], 0, set()
     for i, w in enumerate(weights):
-        new = keys | _range_keys([w], r_max)
-        if i > lo and i + 1 - lo + len(new) > cap:
+        own = _range_keys([w], r_max)
+        if i > lo and i + 1 - lo + len(keys) + len(own - keys) > cap:
             groups.append((lo, i))
-            lo, new = i, _range_keys([w], r_max)
-        keys = new
+            lo, keys = i, set()
+        keys |= own
     return groups + [(lo, len(weights))]
 
 
