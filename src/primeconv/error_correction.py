@@ -37,9 +37,10 @@ def _chunk_ranges(lo, hi, chunk):
         start = stop
 
 
-# peak bytes a correction job holds per chunk entry: 22 with the unit weight
-# and 26 with a power weight (tracemalloc, one worker, at 10^9 and 10^10),
-# most of it the window job's screen; all workers' chunks share one budget
+# peak bytes a correction job holds per chunk entry (tracemalloc, one
+# worker): 17 with the unit weight and 26 with a power weight at 10^9, where
+# a divisor job's interval blocks span a quarter of the chunk, and 11 and 14
+# at 10^10; all workers' chunks share one budget
 _JOB_BYTES = 32
 _MEMORY_BUDGET = 512 << 20
 
@@ -97,7 +98,8 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     d1 <= (n + S) // (cap_x + 1) < bound and come from stride slices of the
     screened window itself. Such d1 have no prime factor above the bound, so
     m/d1 is bound-smooth exactly when m is, and no pair is lost. S is
-    params.window.
+    params.window. Each d1 reads mu(m/d1) over its stride slice with one
+    table gather from small per-entry codes (see _PairTable).
 
     Without a weight, or with the unit weight, the sum is exact and split by
     the class of the product m mod `modulus`: a list of `modulus` ints whose
@@ -173,48 +175,55 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     # large divisors: stride over the window for each small cofactor d1
     # coprime to the modulus; d1 < bound, so its screen row is complete
     d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
-    _, kd1s, sd1s, _, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
+    _, kd1s, sd1s, sq1s, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
     kb1s = segmentation.cell_index_vec(d1s, params)
     keep = (kb1s <= top) & (np.gcd(d1s, np.uint64(modulus)) == 1)
-    d1_info = list(zip(d1s[keep].tolist(), kb1s[keep].tolist(),
-                       kd1s[keep].tolist(), sd1s[keep].tolist()))
+    # m/d1 passes the cell test iff kh(m) - top <= slack(d1) = kd1 - kb1
+    slack = kd1s.astype(np.int64) - kb1s
+    lows = int(slack[keep].min(initial=0))
+    band = int(slack[keep].max(initial=0)) - lows + 1
+    table = _PairTable(sd1s * sq1s, d1_max, band)  # mu(1..d1_max)
+    d1_info = [(d1, table.rows(d1, s - lows)) for d1, s in
+               zip(d1s[keep].tolist(), slack[keep].tolist())]
 
     def window_job(lo, hi):
         part = [0] * width
-        # float sums of signs: exact, as no chunk holds 2^53 pairs
-        per_class = np.zeros(modulus)
-        smooth, kh, sign, _, excess = sieve.screen_chunk(
-            lo, hi, primes, pcells, want_excess=True)
-        # one key per element: m/d1 passes the cell test iff key <= top +
-        # kd1 - kb1, and a non-smooth m never does
-        kh[~smooth] = np.iinfo(np.int32).max
-        for d1, kb1, kd1, s1 in d1_info:
+        per_class = np.zeros(modulus, dtype=np.int64)
+        smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
+            lo, hi, primes, pcells, want_excess=True, excess_cap=d1_max + 1)
+        kh -= top + lows
+        code = table.codes(smooth, kh, sign, excess)
+        # the stride pass reads only the codes: free the screen's 9 B per entry
+        del smooth, kh, sign, sqfree, excess
+        lookup = np.zeros(table.shape, dtype=np.int8)
+        for d1, (rows, block) in d1_info:
             low = max(lo, d1 * (cap_x + 1) - 1)
             first = (low // d1 + 1) * d1
             if first > hi:
                 continue
-            i0 = first - (lo + 1)
-            idx = np.flatnonzero(kh[i0::d1] <= top + kd1 - kb1) * d1 + i0
-            # m/d1 is square-free exactly when d1 is a multiple of the excess
-            idx = idx[np.uint64(d1) % excess[idx] == 0]
-            if len(idx) == 0:
-                continue
-            nv = idx + (lo + 1)
-            # the primes of m are those of d1 and of the square-free m/d1,
-            # so mu(m/d1) = sign(m) * sign(d1) * sign(gcd(d1, m/d1))
-            sg = sign[idx].astype(np.int64) * s1
-            sg *= sd1s[np.gcd(nv // d1, d1) - 1]
+            # mu(m/d1) for each m = first + j * d1, 0 when (d1, m/d1) is no pair
+            lookup[rows] = block
+            sg = lookup.take(code[first - (lo + 1)::d1])
+            lookup[rows] = 0
             if unit:
-                per_class += np.bincount(nv % modulus, weights=sg,
-                                         minlength=modulus)
+                if modulus == 1:
+                    per_class[0] += int(sg.sum(dtype=np.int64))
+                    continue
+                # sub-stride r holds the products of class first + r * d1
+                tail = len(sg) % modulus
+                cls = (first + d1 * np.arange(modulus)) % modulus
+                per_class[cls] += sg[:len(sg) - tail].reshape(-1, modulus).sum(
+                    axis=0, dtype=np.int64)
+                per_class[cls[:tail]] += sg[len(sg) - tail:]
                 continue
+            j = np.flatnonzero(sg)
+            cof = (j + first // d1).astype(np.uint64)
             for i, p in enumerate(moduli):
-                h1 = weight.value_at(d1, p)
-                hv = weight.values_vec((nv // d1).astype(np.uint64), p)
-                hv = hv * np.uint64(h1) % np.uint64(p)
-                sv = np.where(sg > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
+                hv = weight.values_vec(cof, p)
+                hv = hv * np.uint64(weight.value_at(d1, p)) % np.uint64(p)
+                sv = np.where(sg[j] > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
                 part[i] += int(np.sum(sv.astype(np.int64)))
-        return per_class.astype(np.int64).tolist() if unit else part
+        return per_class.tolist() if unit else part
 
     jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
@@ -224,6 +233,55 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
         # a product sharing a factor with the modulus is in no coprime class
         return [s if math.gcd(c, modulus) == 1 else 0 for c, s in enumerate(sums)]
     return tuple(s % p for s, p in zip(sums, moduli))
+
+
+class _PairTable:
+    """Sign lookup of the window stride pass.
+
+    m/d1 is square-free exactly when the excess e(m) = prod p^(a-1) divides
+    d1, and then m/d1 = rad(m) / (d1/e(m)), so mu(m/d1) = sign(m) *
+    mu(d1/e(m)). A window entry's code packs e (capped at d1_max + 1), the
+    cell excess u = kh - top - lows (clamped to 0..band, band being above
+    every slack) and the sign bit as (e * (band + 1) + u) * 2 + bit, and a
+    non-smooth m gets 0. For one d1 the table holds sign * mu(d1/e) in the
+    rows of the divisors e of d1 and the columns u <= slack(d1) - lows, and
+    0 elsewhere. A job sets one d1's rows at a time in one table of
+    (d1_max + 2) x 2 (band + 1) bytes, which stays small at every delta.
+    """
+
+    def __init__(self, mu, d1_max, band):
+        self.shape = (d1_max + 2, 2 * (band + 1))
+        fits = (d1_max + 2) * 2 * (band + 1) <= 1 << 15
+        self.dtype = np.int16 if fits else np.int32
+        # the divisors e of each d1 with d1/e = k square-free, in d1 order
+        k = np.flatnonzero(mu) + 1
+        reps = d1_max // k
+        e = (np.arange(int(reps.sum())) + 1
+             - np.repeat(np.cumsum(reps) - reps, reps))
+        k = np.repeat(k, reps)
+        order = np.argsort(e * k, kind="stable")
+        self.e, self.mu = e[order], mu[k[order] - 1]
+        self.ends = np.cumsum(np.bincount(e * k, minlength=d1_max + 1))
+
+    def rows(self, d1, width):
+        """(rows, block): the divisor rows of d1 and their values, set in the
+        columns u <= width for both sign bits."""
+        a, b = self.ends[d1 - 1], self.ends[d1]
+        cols = np.zeros(self.shape[1], dtype=np.int8)
+        cols[0:2 * width + 2:2], cols[1:2 * width + 2:2] = 1, -1
+        return self.e[a:b], np.multiply.outer(self.mu[a:b], cols)
+
+    def codes(self, smooth, u, sign, excess):
+        """Codes of a window chunk from its screen; u = kh - top - lows is an
+        int32 array, overwritten."""
+        np.clip(u, 0, self.shape[1] // 2 - 1, out=u)
+        u <<= 1
+        np.add(u, sign < 0, out=u)
+        code = excess.astype(self.dtype)
+        code *= self.shape[1]
+        np.add(code, u, out=code, casting="unsafe")
+        code *= smooth
+        return code
 
 
 def _inverse_table(m):

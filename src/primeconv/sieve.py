@@ -75,7 +75,8 @@ def prime_cell_indices(primes, params):
 _SUM_BITS = 26
 
 
-def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
+def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False,
+                 excess_cap=(1 << 15) - 1):
     """Vectorized per-integer summary of (lo, hi] against primes <= bound.
 
     `primes` are all primes up to the bound, ascending, and `prime_cells`
@@ -84,7 +85,9 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
       kh: sum of e * cell_index(p) over sieved primes (complete iff smooth)
       sign: (-1)^(number of distinct sieved primes)
       sqfree: no sieved prime divides twice
-      excess: product of p^(e-1) over sieved primes with e >= 2 (or None)
+      excess: min(c, product of p^(e-1) over sieved primes with e >= 2), for
+        the cap c = excess_cap, in uint16 when c < 2^15 and uint32 otherwise
+        (None unless want_excess)
 
     Only `smooth` rows carry final values of kh/sign; an integer with a prime
     factor above the bound is not smooth, and every caller treats it as
@@ -98,7 +101,9 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
     c2, length = _smooth_rule(hi, primes, prime_cells)
     packed = np.zeros(size, dtype=np.int32)
     sqfree = np.ones(size, dtype=bool)
-    excess = np.ones(size, dtype=np.uint64) if want_excess else None
+    cap = int(excess_cap)
+    excess = (np.ones(size, dtype=np.uint16 if cap < 1 << 15 else np.uint32)
+              if want_excess else None)
     one = 1 << _SUM_BITS
     for p, kb in zip(primes.tolist(), prime_cells.tolist()):
         first = (lo // p + 1) * p
@@ -114,9 +119,18 @@ def screen_chunk(lo, hi, primes, prime_cells, *, want_excess=False):
             if q == p * p:
                 sqfree[slq] = False
             packed[slq] += kb
-            if want_excess:
-                excess[slq] *= p
+            if want_excess and p >= cap:
+                excess[slq] = cap
+            elif want_excess:
+                # an entry stays exact below cap or lies in [cap, 2 cap), as
+                # excess * p >= cap iff excess >= ceil(cap / p); the last
+                # pass below clamps it to cap
+                view = excess[slq]
+                np.minimum(view, -(-cap // p), out=view)
+                view *= p
             q *= p
+    if want_excess:
+        np.minimum(excess, cap, out=excess)
     sign = np.empty(size, dtype=np.int8)
     np.right_shift(packed, _SUM_BITS, out=sign, casting="unsafe")
     sign &= 1

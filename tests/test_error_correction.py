@@ -53,6 +53,80 @@ def test_pairs_short_window_cofactor_split(n, den):
     assert (n + params.window) // (params.window + 1) > bound
     expect = oracles.error_term_naive_pairs(n, delta)
     assert ec.pairs_correction(params, bound) == [expect]
+    # the per-class and the weighted stride pass at the same large d1
+    for q in (4, 5):
+        assert ec.pairs_correction(params, bound, modulus=q) == _class_vector(
+            n, delta, q), q
+    expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
+    assert ec.pairs_correction(params, bound, weight=WeightN(),
+                               moduli=[P1, P2]) == (expect % P1, expect % P2)
+
+
+def test_excess_identity_of_the_stride_pass():
+    # m/d1 is square-free iff the excess e(m) = prod p^(a-1) divides d1, and
+    # then mu(m/d1) = sign(m) * mu(d1/e(m)), sign(m) = (-1)^omega(m)
+    limit = 2 * 10 ** 5
+    mu = oracles.mu_naive(limit).astype(np.int64)
+    excess = np.ones(limit + 1, dtype=np.int64)
+    sign = np.ones(limit + 1, dtype=np.int64)
+    for m in range(2, limit + 1):
+        for p, a in oracles.factor_naive(m):
+            excess[m] *= p ** (a - 1)
+            sign[m] = -sign[m]
+    for d1 in range(1, 401):
+        m = d1 * np.arange(1, limit // d1 + 1)
+        quotient = mu[m // d1]
+        e = excess[m]
+        divides = d1 % e == 0
+        assert np.array_equal(quotient != 0, divides), d1
+        assert np.array_equal(quotient[divides],
+                              sign[m[divides]] * mu[d1 // e[divides]]), d1
+
+
+def test_pair_table_reads_mu_of_the_cofactor():
+    # d1_max = 5476, as at 3e7 under delta-scale 1/300, where the codes need
+    # int32: each lookup is mu(m/d1) for a smooth m that passes the cell
+    # test kh(m) - top <= slack(d1), and 0 otherwise
+    d1_max, lows, band = 5476, -3, 4
+    params = seg.make_params(1 << 21, Fraction(1, 40))
+    primes = sieve.primes_up_to(1000)
+    lo, hi = 3 * 10 ** 5, 3 * 10 ** 5 + 20000
+    smooth, kh, sign, _, excess = sieve.screen_chunk(
+        lo, hi, primes, sieve.prime_cell_indices(primes, params),
+        want_excess=True, excess_cap=d1_max + 1)
+    top = int(np.median(kh[smooth]))
+    mu = oracles.mu_naive(hi).astype(np.int64)
+    table = ec._PairTable(mu[1:d1_max + 1], d1_max, band)
+    code = table.codes(smooth, kh - (top + lows), sign, excess)
+    assert code.dtype == np.int32
+    lookup = np.zeros(table.shape, dtype=np.int8)
+    rng = random.Random(5)
+    for d1 in list(range(1, 60)) + rng.sample(range(60, d1_max + 1), 200):
+        slack = rng.randrange(lows, lows + band)
+        rows, block = table.rows(d1, slack - lows)
+        lookup[rows] = block
+        first = (lo // d1 + 1) * d1
+        got = lookup.take(code[first - (lo + 1)::d1])
+        lookup[rows] = 0
+        m = np.arange(first, hi + 1, d1)
+        i = m - (lo + 1)
+        live = smooth[i] & (kh[i] - top <= slack)
+        assert np.array_equal(got, np.where(live, mu[m // d1], 0)), d1
+    assert not lookup.any()
+
+
+def test_pairs_excess_above_every_cofactor():
+    # d1_max = 58 here, and the window holds m = 100,224 = 58 * 1728 =
+    # 2^7 * 3^3 * 29, whose excess 2^6 * 3^2 = 576 divides no d1: saturated
+    # at d1_max rather than d1_max + 1, it would pass (58, 1728) as a pair
+    n, delta = 99_613, Fraction(1, 299)
+    params = seg.make_params(n, delta, need_window=True)
+    bound = math.isqrt(n)
+    cap_x = ec.correction_plan(params, bound)[0]
+    assert (n + params.window) // (cap_x + 1) == 58 and 1728 > cap_x
+    assert n < 100_224 <= n + params.window
+    assert ec.pairs_correction(params, bound) == [
+        oracles.error_term_naive_pairs(n, delta)]
 
 
 def test_pairs_identity_with_dirichlet_reference():

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from primeconv import segmentation as seg
@@ -82,11 +83,11 @@ def test_mu_matches_factorizations():
         assert mu.values[n] == expect
 
 
-def _check_screen(params, bound, lo, hi, step):
+def _check_screen(params, bound, lo, hi, step, cap=(1 << 15) - 1):
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
     smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
-        lo, hi, primes, pcells, want_excess=True)
+        lo, hi, primes, pcells, want_excess=True, excess_cap=cap)
     for idx in range(0, hi - lo, step):
         n = lo + 1 + idx
         fac = trial_factor(n)
@@ -98,13 +99,27 @@ def _check_screen(params, bound, lo, hi, step):
         exp_excess = 1
         for p, e in small:
             exp_excess *= p ** (e - 1)
-        assert excess[idx] == exp_excess
+        assert excess[idx] == min(exp_excess, cap)
         if is_smooth:
             assert kh[idx] == sum(e * seg.cell_index(p, params) for p, e in fac)
 
 
 def test_screen_chunk_summaries():
     _check_screen(seg.make_params(10 ** 4, Fraction(1, 40)), 100, 5000, 6000, 7)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 363, 40_000])
+def test_screen_chunk_excess_saturates_at_its_cap(cap):
+    # the excess is min(cap, prod p^(e-1)): caps below a prime, between its
+    # powers and past 2^15 (a uint32 excess); 2^16 = 65536 and 3^10 = 59049
+    # lie in the range, so 2^15 and 3^9 exceed the smaller caps
+    params = seg.make_params(1 << 17, Fraction(1, 40))
+    _check_screen(params, 300, 59_000, 66_000, 1, cap)
+    _, _, _, _, excess = sieve.screen_chunk(
+        0, 10, sieve.primes_up_to(7),
+        sieve.prime_cell_indices(sieve.primes_up_to(7), params),
+        want_excess=True, excess_cap=cap)
+    assert excess.dtype == (np.uint16 if cap < 1 << 15 else np.uint32)
 
 
 def test_screen_chunk_at_top_of_32_bits():
@@ -191,11 +206,14 @@ def test_screen_chunk_memory_per_entry():
     primes = sieve.primes_up_to(10 ** 5)
     pcells = sieve.prime_cell_indices(primes, params)
     size = 1 << 20
-    for want_excess, limit in ((True, 26), (False, 18)):
+    # measured: 9.0 bytes per entry with the 16-bit excess (the packed int32,
+    # the excess, the sign, square-free and smooth bytes) and 7.0 without
+    for want_excess, limit in ((True, 10), (False, 8)):
         tracemalloc.start()
         try:
             result = sieve.screen_chunk(n, n + size, primes, pcells,
-                                        want_excess=want_excess)
+                                        want_excess=want_excess,
+                                        excess_cap=363)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
