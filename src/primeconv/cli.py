@@ -18,8 +18,22 @@ from . import counting, oracles
 
 ENV_PREFIX = "PRIMECONV_"
 
-_FUNCTIONS = ("pi", "mertens", "sum-primes", "pi-mod", "squarefree",
-              "totient-sum")
+# cli name -> (counting result function, oracle, the arguments after n that
+# both take), looked up by name at call time so that a replaced module
+# attribute is the one called
+_COMMANDS = {
+    "pi": ("count_primes_result", "pi_naive", ()),
+    "mertens": ("mertens_result", "mertens_naive", ()),
+    "sum-primes": ("sum_over_primes_result", "sum_primes_naive", ("power",)),
+    "pi-mod": ("count_primes_mod_result", "pi_mod_naive",
+               ("modulus", "residue")),
+    "squarefree": ("count_squarefree_result", "sqfree_naive", ()),
+    "totient-sum": ("totient_sum_result", "totient_sum_naive", ()),
+}
+_FUNCTIONS = tuple(_COMMANDS)
+
+# the arguments after n of every bench call
+_BENCH_ARGUMENTS = {"power": 1, "modulus": 3, "residue": 1}
 
 
 def _env(name, default=None):
@@ -93,43 +107,24 @@ def _config_from(args):
     return config
 
 
-def _run_function(name, args, config):
-    if name == "pi":
-        return counting.count_primes_result(args.n, config)
-    if name == "mertens":
-        return counting.mertens_result(args.n, config)
-    if name == "sum-primes":
-        return counting.sum_over_primes_result(args.n, args.power, config)
-    if name == "pi-mod":
-        return counting.count_primes_mod_result(args.n, args.modulus,
-                                                args.residue, config)
-    if name == "squarefree":
-        return counting.count_squarefree_result(args.n, config)
-    if name == "totient-sum":
-        return counting.totient_sum_result(args.n, config)
-    raise AssertionError(name)
+def _run_function(name, n, values, config):
+    """The library result of `name` at n, the arguments after n read from
+    the mapping `values`."""
+    result, _, extra = _COMMANDS[name]
+    return getattr(counting, result)(n, *(values[a] for a in extra),
+                                     config=config)
 
 
-def _run_oracle(name, n, config, power=1, modulus=None, residue=None):
+def _run_oracle(name, n, values, config):
     """The brute-force reference, after the same argument checks as the
     main commands."""
-    if name == "pi-mod" and (modulus is None or residue is None):
-        raise ValueError("pi-mod oracle needs --modulus and --residue")
-    counting.check_arguments(name, n, config, power=power, modulus=modulus,
-                             residue=residue)
-    if name == "pi":
-        return oracles.pi_naive(n)
-    if name == "mertens":
-        return oracles.mertens_naive(n)
-    if name == "sum-primes":
-        return oracles.sum_primes_naive(n, power)
-    if name == "pi-mod":
-        return oracles.pi_mod_naive(n, modulus, residue)
-    if name == "squarefree":
-        return oracles.sqfree_naive(n)
-    if name == "totient-sum":
-        return oracles.totient_sum_naive(n)
-    raise AssertionError(name)
+    _, oracle, extra = _COMMANDS[name]
+    args = [values[a] for a in extra]
+    if None in args:
+        raise ValueError(f"{name} oracle needs "
+                         + " and ".join(f"--{a}" for a in extra))
+    counting.check_arguments(name, n, config, **dict(zip(extra, args)))
+    return getattr(oracles, oracle)(n, *args)
 
 
 def _emit(bundle, elapsed, as_json):
@@ -165,8 +160,7 @@ def _bench(args, config, as_json):
               "sieve")
     while n <= args.stop:
         t0 = time.perf_counter()
-        bundle = _run_function(args.fn, argparse.Namespace(
-            n=n, power=1, modulus=3, residue=1), config)
+        bundle = _run_function(args.fn, n, _BENCH_ARGUMENTS, config)
         total = time.perf_counter() - t0
         row = {"n": n, "result": bundle.value, "total_s": total}
         for ph in phases:
@@ -213,32 +207,20 @@ def main(argv=None):
             return _bench(args, config, args.json)
         if args.command == "oracle":
             t0 = time.perf_counter()
-            value = _run_oracle(args.function, args.n, config, args.power,
-                                args.modulus, args.residue)
+            value = _run_oracle(args.function, args.n, vars(args), config)
             elapsed = time.perf_counter() - t0
             bundle = counting.ResultBundle(f"oracle-{args.function}", args.n,
                                            value, None, None, None)
             _emit(bundle, elapsed, args.json)
             return 0
         t0 = time.perf_counter()
-        bundle = _run_function(args.command, args, config)
+        bundle = _run_function(args.command, args.n, vars(args), config)
         elapsed = time.perf_counter() - t0
         if args.verify and args.n <= _verify_cutoff():
-            kw = {}
-            if args.command == "sum-primes":
-                kw["power"] = args.power
-            if args.command == "pi-mod":
-                kw["modulus"] = args.modulus
-                kw["residue"] = args.residue
-            t1 = time.perf_counter()
-            expected = _run_oracle(args.command, args.n, config, **kw)
-            report = oracles.OracleReport(
-                function=args.command, n=args.n, oracle_value=expected,
-                main_value=bundle.value, match=expected == bundle.value,
-                oracle_seconds=time.perf_counter() - t1, main_seconds=elapsed)
-            if not report.match:
-                print(f"verify mismatch: {report.function}({report.n}) = "
-                      f"{report.main_value}, oracle says {report.oracle_value}",
+            expected = _run_oracle(args.command, args.n, vars(args), config)
+            if expected != bundle.value:
+                print(f"verify mismatch: {args.command}({args.n}) = "
+                      f"{bundle.value}, oracle says {expected}",
                       file=sys.stderr)
                 return 4
         _emit(bundle, elapsed, args.json)

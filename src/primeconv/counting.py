@@ -4,8 +4,11 @@ Each function runs the same three-phase pipeline: build the cell arrays
 (weighted ones-array implicitly via prefix sums, truncated-Mobius array via
 the Fourier Newton route), sum the truncated convolution with the prefix
 trick, then remove the exact window correction and lift the per-modulus
-residues through the CRT. Small inputs fall back to the direct sieves in
-oracles, which are exact by construction.
+residues through the CRT. Every weight is a MultiplicativeWeight: n^ell
+(the unit weight is power(0)) or a Dirichlet character. Small inputs fall
+back to the direct sieves in oracles, which are exact by construction;
+inputs above MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are
+refused.
 """
 
 import math
@@ -33,24 +36,25 @@ class Config:
 
     delta_scale scales the segmentation precision; inputs below cutoff go to
     the direct sieves in oracles; chunk_size (None = adaptive) and threads
-    (0 = available parallelism) shape the correction's jobs; max_n and
-    max_character_modulus bound the accepted inputs. No value depends on
-    delta_scale, chunk_size or threads. The NTT prime pair is not a setting:
-    characters take the first pool pair whose p - 1 their order divides, and
-    every other function takes modmath.DEFAULT_MODULI.
+    (0 = available parallelism) shape the correction's jobs. No value
+    depends on delta_scale, chunk_size or threads. The NTT prime pair is
+    not a setting: characters take the first pool pair whose p - 1 their
+    order divides, and every other function takes modmath.DEFAULT_MODULI.
     """
     delta_scale: Fraction = Fraction(1)
     cutoff: int = 100_000
     chunk_size: int | None = None
     threads: int = 0
-    max_n: int = 10 ** 11
-    max_character_modulus: int = 10_000
 
     def resolved_threads(self):
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 DEFAULT_CONFIG = Config()
+
+# the largest n and character modulus that any function accepts
+MAX_N = 10 ** 11
+MAX_CHARACTER_MODULUS = 10_000
 
 _char_pipeline_cache = {}
 
@@ -102,11 +106,6 @@ class MultiplicativeWeight:
             return ("power", self.ell * r)
         return ("character", self.char_mod,
                 tuple(r * a % o for a, o in self.char_digits))
-
-    def value_at(self, n, modulus):
-        if self.kind == "power":
-            return pow(n % modulus, self.ell, modulus)
-        return int(self._tables[modulus][n % self.char_mod])
 
     def values_vec(self, arr, modulus):
         arr = np.asarray(arr, dtype=np.uint64)
@@ -274,14 +273,14 @@ def check_arguments(function, n, config, *, power=1, modulus=1, residue=0):
     check_config(config)
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > config.max_n:
-        raise ValueError(f"n = {n} exceeds the supported range {config.max_n}")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the supported range {MAX_N}")
     if function == "sum-primes":
         MultiplicativeWeight.power(power)  # refuses exponents outside 0..16
     if function == "pi-mod":
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if modulus > config.max_character_modulus:
+        if modulus > MAX_CHARACTER_MODULUS:
             raise ValueError(f"modulus {modulus} above configured bound")
         if math.gcd(modulus, residue) != 1:
             raise ValueError("residue must be coprime to the modulus")
@@ -456,7 +455,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         inv_phi = pow(phi_m, -1, p)
         s = 0
         for k, w in enumerate(chars):
-            s = (s + w.value_at(r_inv, p) * rows[k]) % p
+            s = (s + int(w.values_vec([r_inv], p)[0]) * rows[k]) % p
         residues.append((s * inv_phi - classes[residue] - indicator + small) % p)
     value = modmath.crt_combine(residues, pair)
     timings["combine"] = time.perf_counter() - t0

@@ -217,10 +217,9 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
                 per_class[cls[:tail]] += sg[len(sg) - tail:]
                 continue
             j = np.flatnonzero(sg)
-            cof = (j + first // d1).astype(np.uint64)
+            m = (first + j * d1).astype(np.uint64)
             for i, p in enumerate(moduli):
-                hv = weight.values_vec(cof, p)
-                hv = hv * np.uint64(weight.value_at(d1, p)) % np.uint64(p)
+                hv = weight.values_vec(m, p)  # h(d1) h(m/d1) = h(m)
                 sv = np.where(sg[j] > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
                 part[i] += int(np.sum(sv.astype(np.int64)))
         return per_class.tolist() if unit else part

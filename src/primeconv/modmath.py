@@ -162,18 +162,15 @@ def ntt_inverse(values, ctx):
     return (out * np.uint64(ctx.length_inv)) % np.uint64(ctx.modulus)
 
 
-def convolve(a, b, ctx):
-    """Linear (acyclic) convolution of a and b modulo ctx.modulus.
-
-    Requires len(a) + len(b) - 1 <= ctx.length so zero padding prevents
-    cyclic wraparound; returns exactly len(a) + len(b) - 1 entries.
-    """
+def convolve_mod(a, b, modulus):
+    """Linear (acyclic) convolution of a and b modulo modulus: exactly
+    len(a) + len(b) - 1 entries, through the smallest cached context that
+    holds them without cyclic wraparound."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     out_len = len(a) + len(b) - 1
-    if out_len > ctx.length:
-        raise ValueError("operands too long for this context (cyclic overlap)")
-    p = np.uint64(ctx.modulus)
+    ctx = get_context(modulus, 1 << (out_len - 1).bit_length())
+    p = np.uint64(modulus)
     fa = np.zeros(ctx.length, dtype=np.uint64)
     fa[:len(a)] = a % p
     fb = np.zeros(ctx.length, dtype=np.uint64)
@@ -181,15 +178,6 @@ def convolve(a, b, ctx):
     fa = ntt_forward(fa, ctx)
     fb = ntt_forward(fb, ctx)
     return ntt_inverse((fa * fb) % p, ctx)[:out_len]
-
-
-def convolve_mod(a, b, modulus):
-    """Convenience wrapper picking the smallest adequate cached context."""
-    need = len(a) + len(b) - 1
-    length = 1
-    while length < need:
-        length *= 2
-    return convolve(a, b, get_context(modulus, length))
 
 
 def power_series_exp(f, n, modulus):

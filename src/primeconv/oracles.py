@@ -8,7 +8,6 @@ Single-threaded; exactness over speed.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -350,14 +349,3 @@ def error_term_naive_triples(n, delta, trunc):
                     total += int(mu[d2]) * int(mu[d3])
     return total
 
-
-@dataclass
-class OracleReport:
-    """Outcome of checking the main path against an oracle."""
-    function: str
-    n: int
-    oracle_value: int
-    main_value: int
-    match: bool
-    oracle_seconds: float
-    main_seconds: float

@@ -222,24 +222,14 @@ def window_size(n, delta):
     raise RuntimeError("cannot resolve the window size exactly")
 
 
-_SMALL_PRIMES = []
-
-
-def _small_primes():
-    if not _SMALL_PRIMES:
-        sieve = np.ones(400, dtype=bool)
-        sieve[:2] = False
-        for i in range(2, 20):
-            if sieve[i]:
-                sieve[i * i::i] = False
-        _SMALL_PRIMES.extend(int(i) for i in np.nonzero(sieve)[0])
-    return _SMALL_PRIMES
+# the first 16 primes: their product exceeds 2^64, above every cell top
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def _max_squarefree_omega(x):
     """max r such that the product of the first r primes is <= x."""
     prod, r = 1, 0
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if prod * p > x:
             return r
         prod *= p

@@ -37,9 +37,8 @@ def primes_up_to(limit):
 class MuTable:
     """Mobius values mu(0..limit) as int8, with cached prefix sums."""
 
-    def __init__(self, values, limit):
+    def __init__(self, values):
         self.values = values
-        self.limit = limit
         self._prefix = None
 
     def prefix_sum(self, k):
@@ -60,7 +59,7 @@ def mu_up_to(limit):
         mu[p::p] *= -1
         if p * p <= limit:
             mu[p * p::p * p] = 0
-    return MuTable(mu, limit)
+    return MuTable(mu)
 
 
 def prime_cell_indices(primes, params):

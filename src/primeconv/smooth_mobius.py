@@ -1,18 +1,20 @@
 """Smooth-Mobius segment arrays.
 
-The cell array of the truncated Mobius function (optionally weighted by a
-completely multiplicative h) is a product over size ranges of the primes of
-each range's alternating sum of products-of-r-distinct-primes arrays. All
-ranges work at one shared power-of-two transform length, so they multiply
-pointwise into one accumulator per weight that one inverse transform ends.
-An untruncated range (r_used equal to its prime count) is the direct
-product prod_p (1 - h(p) x^k_p), multiplied in column by column. A truncated
-range solves a Newton-identities-style recurrence against the r-th prime
-power arrays per Fourier column, as a power-series exponential over BLOCK
-columns at a time; the order-r array of h is the order-1 array of h^r
-dilated by r, so each distinct h^r costs one forward transform, shared by
-all the weights of a call. `oracles.newton_direct` solves the same
-recurrence in the time domain as the independent reference.
+The cell array of the truncated Mobius function weighted by a completely
+multiplicative h (a counting.MultiplicativeWeight; h = 1 is power(0)) is a
+product over size ranges of the primes of each range's alternating sum of
+products-of-r-distinct-primes arrays. Every call takes a list of weights
+and returns one row per weight. All ranges work at one shared power-of-two
+transform length, so they multiply pointwise into one accumulator per
+weight that one inverse transform ends. An untruncated range (r_used equal
+to its prime count) is the direct product prod_p (1 - h(p) x^k_p),
+multiplied in column by column. A truncated range solves a
+Newton-identities-style recurrence against the r-th prime power arrays per
+Fourier column, as a power-series exponential over BLOCK columns at a
+time; the order-r array of h is the order-1 array of h^r dilated by r, so
+each distinct h^r costs one forward transform, shared by all the weights
+of a call. `oracles.newton_direct` solves the same recurrence in the time
+domain as the independent reference.
 """
 
 import math
@@ -42,27 +44,15 @@ class PrimePartition:
     pad_length: int
 
 
-def prime_cell_sums(primes, params, modulus, *, weight=None, power=1,
-                    exponent=None, length=None):
-    """Cell array of h(p^exponent) mod modulus scattered at
-    power * cell_index(p); exponent defaults to power.
-
-    With the unit weight (None) this counts primes per cell (power=1) or
-    marks r-th powers (power=r). Truncated to `length` (default top_cell + 1).
-    """
-    if length is None:
-        length = params.top_cell + 1
+def prime_cell_sums(primes, params, modulus, weight, r, length):
+    """Cell array of h(p^r) mod modulus scattered at cell_index(p),
+    truncated to `length`."""
     primes = np.asarray(primes, dtype=np.int64)
     cells = segmentation.cell_index_vec(primes.astype(np.uint64), params)
-    idx = cells.astype(np.int64) * power
-    keep = idx < length
+    keep = cells < length
     out = np.zeros(length, dtype=np.uint64)
-    if weight is None:
-        vals = np.ones(int(keep.sum()), dtype=np.uint64)
-    else:
-        vals = weight.prime_power_values(
-            primes[keep], power if exponent is None else exponent, modulus)
-    np.add.at(out, idx[keep], vals)
+    np.add.at(out, cells[keep],
+              weight.prime_power_values(primes[keep], r, modulus))
     return out % np.uint64(modulus)
 
 
@@ -73,17 +63,13 @@ def make_partitions(primes, params):
     order per range is the largest r with r * cell_index(p_min) <= top_cell
     (products of more primes from the range always land above the truncation),
     also capped by the number of primes in the range. Every range gets the
-    same transform length, `transform_length(primes, params)`.
+    same transform length, the smallest power of two that holds all of
+    their products (see _shared_length).
     """
     ranges = _size_ranges(primes, params)
     length = _shared_length(ranges)
     return [PrimePartition(lo, hi, r_used, length)
             for lo, hi, r_used, _ in ranges]
-
-
-def transform_length(primes, params):
-    """The power-of-two length of every transform of smooth_mobius_cells."""
-    return _shared_length(_size_ranges(primes, params))
 
 
 def _size_ranges(primes, params):
@@ -126,14 +112,13 @@ def _shared_length(ranges):
     return 1 << (need - 1).bit_length()
 
 
-def smooth_mobius_cells(primes, params, modulus, *, weight=None,
-                        weights=None):
-    """Cell array of the truncated-Mobius mass, weighted by h, modulo modulus.
+def smooth_mobius_cells(primes, params, modulus, weights):
+    """Cell arrays of the truncated-Mobius mass, one row per weight h of
+    `weights`, modulo modulus.
 
-    Entry k holds sum of h(n) * mu(n) over square-free n composed of the given
-    primes with factored cell index k, truncated at top_cell. `weight` is
-    None (h = 1) or one weight; `weights`, a list, returns one row per
-    weight instead, the rows sharing each range's order-1 transforms.
+    Entry k of a row holds sum of h(n) * mu(n) over square-free n composed
+    of the given primes with factored cell index k, truncated at top_cell.
+    The rows share each range's order-1 transforms.
     """
     if 2 * params.delta > 1:
         raise ValueError("smooth Mobius cells need delta <= 1/2")
@@ -141,9 +126,8 @@ def smooth_mobius_cells(primes, params, modulus, *, weight=None,
     primes = np.asarray(primes, dtype=np.int64)
     parts = make_partitions(primes, params)
     ctx = modmath.get_context(modulus, parts[0].pad_length if parts else 1)
-    rows = [weight] if weights is None else list(weights)
-    out = np.zeros((len(rows), top + 1), dtype=np.uint64)
-    for lo, hi in _weight_groups(rows, parts, ctx.length):
+    out = np.zeros((len(weights), top + 1), dtype=np.uint64)
+    for lo, hi in _weight_groups(weights, parts, ctx.length):
         # one accumulator per weight at the shared length, each ended by
         # one inverse transform
         acc = np.ones((hi - lo, ctx.length), dtype=np.uint64)
@@ -151,32 +135,21 @@ def smooth_mobius_cells(primes, params, modulus, *, weight=None,
             sub = primes[part.lo:part.hi]
             if _truncated(part):
                 _multiply_truncated(acc, sub, part.r_used, params, ctx,
-                                    rows[lo:hi])
+                                    weights[lo:hi])
             else:
-                _multiply_product(acc, sub, params, ctx, rows[lo:hi])
+                _multiply_product(acc, sub, params, ctx, weights[lo:hi])
         for i, row in enumerate(acc):
             res = modmath.ntt_inverse(row, ctx)[:top + 1]
             out[lo + i, :len(res)] = res
-    return out[0] if weights is None else out
+    return out
 
 
 def _truncated(part):
     return part.r_used < part.hi - part.lo
 
 
-def _power_key(weight, r):
-    """Equal for two (weight, r) whose h^r agree on every prime, so that
-    their order-1 transforms coincide. A weight that cannot name its powers
-    (any object with prime_power_values alone) gets one key per order."""
-    if weight is None:
-        return ("power", 0)
-    if hasattr(weight, "power_key"):
-        return weight.power_key(r)
-    return (id(weight), r)
-
-
 def _range_keys(weights, r_used):
-    return {_power_key(w, r) for w in weights for r in range(1, r_used + 1)}
+    return {w.power_key(r) for w in weights for r in range(1, r_used + 1)}
 
 
 def _weight_groups(weights, parts, length):
@@ -201,9 +174,10 @@ def transform_counters(primes, params, weights):
     """The --json counters of smooth_mobius_cells over `weights`:
     `transform_length`, [prime count, r_used] per range (`partitions`) and
     the forward transforms per NTT prime (`forward_transforms`)."""
-    length = transform_length(primes, params)
+    ranges = _size_ranges(primes, params)
+    length = _shared_length(ranges)
     parts = [PrimePartition(lo, hi, r_used, length)
-             for lo, hi, r_used, _ in _size_ranges(primes, params)]
+             for lo, hi, r_used, _ in ranges]
     forward = sum(len(_range_keys(weights[lo:hi], part.r_used))
                   for lo, hi in _weight_groups(weights, parts, length)
                   for part in parts if _truncated(part))
@@ -219,8 +193,7 @@ def _multiply_product(acc, sub, params, ctx, weights):
     of w^k_p and one multiplication per prime, with no forward transform."""
     modulus, p = ctx.modulus, np.uint64(ctx.modulus)
     cells = segmentation.cell_index_vec(sub.astype(np.uint64), params)
-    hs = [np.ones(len(sub), dtype=np.uint64) if w is None
-          else w.prime_power_values(sub, 1, modulus) for w in weights]
+    hs = [w.prime_power_values(sub, 1, modulus) for w in weights]
     for t, k in enumerate(cells.tolist()):
         col_roots = modmath.power_table(pow(ctx.root, k, modulus), ctx.length,
                                         modulus)
@@ -237,8 +210,8 @@ def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
 
     The order-r prime-power array sum_p h(p)^r x^(r k_p) is the order-1
     array of h^r dilated by r, so its transform is T1(h^r)[j r mod L]
-    (exact, since L > r_used * kb_max). Each distinct h^r (see _power_key)
-    costs one forward transform; the exponentials run over BLOCK columns of
+    (exact, since L > r_used * kb_max). Each distinct h^r (see
+    MultiplicativeWeight.power_key) costs one forward transform; the exponentials run over BLOCK columns of
     all the rows at a time."""
     modulus, length = ctx.modulus, ctx.length
     p = np.uint64(modulus)
@@ -246,18 +219,18 @@ def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
     first = {}
     for w in weights:
         for r in range(1, r_used + 1):
-            first.setdefault(_power_key(w, r), (w, r))
+            first.setdefault(w.power_key(r), (w, r))
     t1 = None
     for i, (w, r) in enumerate(first.values()):
-        row = modmath.ntt_forward(prime_cell_sums(
-            sub, params, modulus, weight=w, exponent=r, length=length), ctx)
+        row = modmath.ntt_forward(
+            prime_cell_sums(sub, params, modulus, w, r, length), ctx)
         if t1 is None:
             # allocated after the first transform, whose temporaries are gone
             t1 = np.empty((len(first), length), dtype=np.uint64)
         t1[i] = row
         del row  # not held through the next transform
     index = {key: i for i, key in enumerate(first)}
-    slot = [np.array([index[_power_key(w, r)] for w in weights])[:, None]
+    slot = [np.array([index[w.power_key(r)] for w in weights])[:, None]
             for r in range(1, r_used + 1)]
     # exp(-sum_r e_r x^r / r) has coefficients (-1)^r c_r, so the
     # alternating sum is the plain sum of its coefficients

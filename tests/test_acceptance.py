@@ -299,7 +299,8 @@ def test_criterion_6_newton_suite(capsys):
         top = params.top_cell
         primes = sieve.primes_up_to(math.isqrt(n))
         for p in modmath.DEFAULT_MODULI:
-            got = sm.smooth_mobius_cells(primes, params, p)
+            got = sm.smooth_mobius_cells(
+                primes, params, p, [counting.MultiplicativeWeight.power(0)])[0]
             if len(primes):
                 r_cap = min(len(primes),
                             top // seg.cell_index(int(primes[0]), params))
@@ -375,13 +376,12 @@ def test_criterion_9_transform_micro_suite(capsys):
         for n in (3, 50, 256):
             a = [rng.randrange(p) for _ in range(n)]
             b = [rng.randrange(p) for _ in range(n)]
-            ctx = modmath.get_context(p, 1 << (2 * n - 1).bit_length())
             school = [0] * (2 * n - 1)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     school[i + j] = (school[i + j] + x * y) % p
-            ok &= modmath.convolve(np.array(a, np.uint64),
-                                   np.array(b, np.uint64), ctx).tolist() == school
+            ok &= modmath.convolve_mod(np.array(a, np.uint64),
+                                       np.array(b, np.uint64), p).tolist() == school
     for _ in range(20):
         n = rng.randrange(2, 30)
         f = [0] + [rng.randrange(p1) for _ in range(n - 1)]

@@ -122,6 +122,10 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nonsense", "5")[0] == 2
     assert run_cli(capsys, "pi", "-5")[0] == 2
     assert run_cli(capsys, "pi-mod", "100", "--modulus", "4", "--residue", "2")[0] == 2
+    # above the largest character modulus
+    code, out, _ = run_cli(capsys, "pi-mod", "1000", "--modulus", "10001",
+                           "--residue", "1")
+    assert code == 2 and out == ""
     # a factor below 2 or a start below 1 never grows past --to
     assert run_cli(capsys, "bench", "--from", "1000", "--to", "2000",
                    "--factor", "1")[0] == 2

@@ -321,6 +321,10 @@ def test_weight_prefix_vectors():
         assert g == expect
     unit = counting.MultiplicativeWeight.power(0)
     assert unit.is_unit
+    # ell = 0 and ell = 1: H(x) = x and x(x + 1)/2
+    for ell, closed in ((0, lambda x: x), (1, lambda x: x * (x + 1) // 2)):
+        got = counting.MultiplicativeWeight.power(ell).prefix_vec(xs, p)
+        assert got.tolist() == [closed(x) % p for x in xs.tolist()], ell
 
 
 def _character_table(m):

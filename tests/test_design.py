@@ -1,7 +1,7 @@
 """Source-level guards on the package layout, read with `ast` only.
 
 The oracles stay an independent second route to every value, and the
-production modules carry no code that only the tests reach.
+production modules carry no code and no keyword that only the tests reach.
 """
 
 import ast
@@ -51,3 +51,42 @@ def test_production_functions_have_a_caller():
     unused = [f"{mod}.{qual}" for mod, qual, name in defined
               if name not in named and name not in primeconv.__all__]
     assert not unused, f"defined but never named in production: {unused}"
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_keyword_only_parameters_are_passed_in_production():
+    # a keyword-only parameter that no production call site names (the cli
+    # included) is a knob only the tests set; a call that forwards its own
+    # **kwargs passes on the keywords its callers name, one level deep
+    kwonly = []  # (module, function, parameter)
+    passed = {}  # function name -> keywords named at its call sites
+    forwards = []  # (enclosing function, callee) across **kwargs
+    for path in PRODUCTION + [SRC / "cli.py"]:
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            kwonly += [(path.stem, fn.name, a.arg) for a in fn.args.kwonlyargs]
+            own = fn.args.kwarg.arg if fn.args.kwarg else None
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call) or not _callee(call):
+                    continue
+                names = passed.setdefault(_callee(call), set())
+                for kw in call.keywords:
+                    if kw.arg is not None:
+                        names.add(kw.arg)
+                    elif (isinstance(kw.value, ast.Name)
+                          and kw.value.id == own):
+                        forwards.append((fn.name, _callee(call)))
+    for outer, callee in forwards:
+        passed[callee] = passed[callee] | passed.get(outer, set())
+    unset = [f"{mod}.{fn}({arg}=)" for mod, fn, arg in kwonly
+             if arg not in passed.get(fn, ())]
+    assert not unset, f"keyword-only parameters no production call passes: {unset}"

@@ -10,6 +10,8 @@ from primeconv import error_correction as ec
 from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 
 P1, P2 = modmath.DEFAULT_MODULI
+# the completely multiplicative weight h(m) = m
+WEIGHT_N = counting.MultiplicativeWeight.power(1)
 
 
 def test_empty_window_gives_zero():
@@ -58,7 +60,7 @@ def test_pairs_short_window_cofactor_split(n, den):
         assert ec.pairs_correction(params, bound, modulus=q) == _class_vector(
             n, delta, q), q
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
-    assert ec.pairs_correction(params, bound, weight=WeightN(),
+    assert ec.pairs_correction(params, bound, weight=WEIGHT_N,
                                moduli=[P1, P2]) == (expect % P1, expect % P2)
 
 
@@ -254,24 +256,6 @@ def test_correction_jobs_fit_their_byte_budget():
             tracemalloc.stop()
         assert peak < ec._JOB_BYTES * chunk, (list(kwargs), peak / chunk)
 
-class WeightN:
-    """The weight h(m) = m, with prefix sums x(x+1)/2 mod p."""
-
-    is_unit = False
-
-    def value_at(self, x, p):
-        return x % p
-
-    def values_vec(self, arr, p):
-        return np.asarray(arr, dtype=np.uint64) % np.uint64(p)
-
-    def prefix_vec(self, arr, p):
-        x = np.asarray(arr, dtype=np.uint64) % np.uint64(p)
-        x1 = (x + np.uint64(1)) % np.uint64(p)
-        half = np.uint64(pow(2, -1, p))
-        return x * x1 % np.uint64(p) * half % np.uint64(p)
-
-
 def _class_vector(n, delta, q):
     """The per-class correction mod q from the exhaustive oracle: entry c
     sums the products m = c (mod q), and non-coprime classes are 0."""
@@ -284,7 +268,7 @@ def test_pairs_weighted_and_residue_modes():
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
 
-    got = ec.pairs_correction(params, bound, weight=WeightN(), moduli=[P1, P2])
+    got = ec.pairs_correction(params, bound, weight=WEIGHT_N, moduli=[P1, P2])
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
     assert got == (expect % P1, expect % P2)
 
@@ -311,7 +295,7 @@ def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     assert max(params.window, (n + params.window) // bound) >= 4 * 977
     modes = [({"modulus": q}, _class_vector(n, delta, q)) for q in (1, 3, 4, 30)]
     expect = oracles.error_term_naive_pairs(n, delta, h=lambda m: m)
-    modes.append(({"weight": WeightN(), "moduli": [P1, P2]},
+    modes.append(({"weight": WEIGHT_N, "moduli": [P1, P2]},
                   (expect % P1, expect % P2)))
     for kwargs, expect in modes:
         for threads in (1, 2, 3):

@@ -11,6 +11,8 @@ from primeconv import smooth_mobius as sm
 
 P1, P2 = modmath.DEFAULT_MODULI
 UNIT = counting.MultiplicativeWeight.power(0)
+# the completely multiplicative weight h(m) = m
+WEIGHT_N = counting.MultiplicativeWeight.power(1)
 
 
 def enum_mobius_cells(prime_list, cells, top, signs=None):
@@ -53,28 +55,30 @@ def dilate(e1, r):
     return out
 
 
+def cell_counts(primes, params):
+    """The unit weight's order-1 array: primes per cell up to top_cell."""
+    return sm.prime_cell_sums(primes, params, P1, UNIT, 1, params.top_cell + 1)
+
+
 def test_prime_cell_sums_examples():
     params = seg.make_params(25, Fraction(1))
-    arr = sm.prime_cell_sums([2, 3, 5], params, P1)
+    arr = cell_counts([2, 3, 5], params)
     assert arr[:3].tolist() == [0, 2, 1]
-    assert sm.prime_cell_sums([], params, P1).sum() == 0
-
-    class WeightN:
-        def prime_power_values(self, primes, r, modulus):
-            vals = np.asarray(primes, dtype=np.int64) ** r
-            return (vals % modulus).astype(np.uint64)
-
-    arr = sm.prime_cell_sums([2, 3], params, P1, weight=WeightN())
+    assert cell_counts([], params).sum() == 0
+    arr = sm.prime_cell_sums([2, 3], params, P1, WEIGHT_N, 1, 5)
     assert arr[1] == 5
-    arr = sm.prime_cell_sums([2, 3], params, 7, weight=WeightN(), power=2)
-    assert arr[2] == (4 + 9) % 7
+    # h(p^2) = p^2 stays at cell_index(p)
+    arr = sm.prime_cell_sums([2, 3], params, 7, WEIGHT_N, 2, 5)
+    assert arr[1] == (4 + 9) % 7
+    # cells at or past the length are dropped
+    assert sm.prime_cell_sums([2, 3, 5], params, P1, UNIT, 1, 2).tolist() == [0, 2]
 
 
 def test_dilate_examples():
     # the unit weight's order-r prime-power array, which the Fourier path
     # reads off the order-1 transform, is the order-1 array dilated by r
     params = seg.make_params(25, Fraction(1))
-    e1 = sm.prime_cell_sums([2, 3, 5], params, P1)
+    e1 = cell_counts([2, 3, 5], params)
     assert e1.tolist() == [0, 2, 1, 0, 0]
     assert dilate(e1, 2).tolist() == [0, 0, 2, 0, 1]
     assert dilate(e1, 1).tolist() == e1.tolist()
@@ -83,9 +87,13 @@ def test_dilate_examples():
         n = rng.randrange(50, 10 ** 4)
         params = seg.make_params(n, Fraction(1, rng.randrange(3, 100)))
         primes = sieve.primes_up_to(math.isqrt(n))
-        e1 = sm.prime_cell_sums(primes, params, P1)
+        e1 = cell_counts(primes, params)
+        top = params.top_cell
+        cells = np.array([seg.cell_index(int(p), params) for p in primes],
+                         dtype=np.int64)
         for r in (2, 3, 5):
-            er = sm.prime_cell_sums(primes, params, P1, weight=UNIT, power=r)
+            # the r-th powers scattered at r * cell_index(p)
+            er = np.bincount(r * cells[r * cells <= top], minlength=top + 1)
             assert np.array_equal(er, dilate(e1, r)), (n, r)
 
 
@@ -138,7 +146,7 @@ def test_newton_residual_holds_arraywise():
     top = params.top_cell
     primes = [int(p) for p in sieve.primes_up_to(100)]
     r_max = 6
-    e1 = sm.prime_cell_sums(primes, params, P1).astype(np.int64)
+    e1 = cell_counts(primes, params).astype(np.int64)
     es = [dilate(e1, r) for r in range(1, r_max + 1)]
     cs = oracles.newton_direct(primes, 10 ** 4, Fraction(1, 12), r_max)
     for r in range(1, r_max + 1):
@@ -151,7 +159,7 @@ def test_newton_residual_holds_arraywise():
 
 def test_smooth_mobius_cells_single_prime():
     params = seg.make_params(4, Fraction(1, 3))
-    got = sm.smooth_mobius_cells(sieve.primes_up_to(2), params, P1)
+    got = sm.smooth_mobius_cells(sieve.primes_up_to(2), params, P1, [UNIT])[0]
     expect = np.zeros(params.top_cell + 1, dtype=np.int64)
     expect[0] = 1
     expect[seg.cell_index(2, params)] -= 1
@@ -161,7 +169,7 @@ def test_smooth_mobius_cells_single_prime():
 def test_smooth_mobius_cells_n36_bruteforce():
     params = seg.make_params(36, Fraction(1, 10))
     primes = sieve.primes_up_to(6)
-    got = sm.smooth_mobius_cells(primes, params, P1)
+    got = sm.smooth_mobius_cells(primes, params, P1, [UNIT])[0]
     cells = [seg.cell_index(int(p), params) for p in primes]
     ref = enum_mobius_cells([int(p) for p in primes], cells, params.top_cell)
     assert np.array_equal(got, ref % P1)
@@ -186,7 +194,7 @@ def test_smooth_mobius_matches_newton_direct_random_configs():
         top = params.top_cell
         primes = sieve.primes_up_to(math.isqrt(n))
         for p in (P1, P2):
-            got = sm.smooth_mobius_cells(primes, params, p)
+            got = sm.smooth_mobius_cells(primes, params, p, [UNIT])[0]
             if len(primes) == 0:
                 expect = np.zeros(top + 1, dtype=np.uint64)
                 expect[0] = 1
@@ -204,13 +212,13 @@ def test_partition_independence(monkeypatch):
         delta = Fraction(1, rng.randrange(3 * n.bit_length(), 200))
         params = seg.make_params(n, delta)
         primes = sieve.primes_up_to(math.isqrt(n))
-        many = sm.smooth_mobius_cells(primes, params, P1)
+        many = sm.smooth_mobius_cells(primes, params, P1, [UNIT])[0]
         assert len(sm.make_partitions(primes, params)) > 1
         whole = sm._size_range(primes, 0, len(primes), params)
         part = sm.PrimePartition(*whole[:3], sm._shared_length([whole]))
         with monkeypatch.context() as m:
             m.setattr(sm, "make_partitions", lambda *args: [part])
-            one = sm.smooth_mobius_cells(primes, params, P1)
+            one = sm.smooth_mobius_cells(primes, params, P1, [UNIT])[0]
         assert np.array_equal(one, many), (n, delta)
 
 
@@ -228,20 +236,8 @@ def test_cell_mass_matches_enumeration_across_deltas():
             top = params.top_cell
             cells = [seg.cell_index(p, params) for p in primes]
             ref = enum_mobius_cells(primes, cells, top)
-            got = sm.smooth_mobius_cells(primes, params, P2)
+            got = sm.smooth_mobius_cells(primes, params, P2, [UNIT])[0]
             assert np.array_equal(got, ref % P2), (n, j)
-
-
-class WeightN:
-    """The completely multiplicative weight h(m) = m."""
-    is_unit = False
-
-    def prime_power_values(self, primes, r, modulus):
-        vals = np.asarray(primes, dtype=np.uint64) % np.uint64(modulus)
-        out = np.ones(len(vals), dtype=np.uint64)
-        for _ in range(r):
-            out = out * vals % np.uint64(modulus)
-        return out
 
 
 def weighted_mobius_cells(primes, params):
@@ -270,7 +266,7 @@ def test_generalized_weight_matches_weighted_bruteforce():
         params = seg.make_params(n, delta)
         primes = [int(p) for p in sieve.primes_up_to(math.isqrt(n))]
         ref = weighted_mobius_cells(primes, params)
-        got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
+        got = sm.smooth_mobius_cells(primes, params, P1, [WEIGHT_N])[0]
         assert np.array_equal(got, ref % P1), (n, delta)
 
 
@@ -284,12 +280,13 @@ def test_column_blocks_match_references(monkeypatch, block):
         delta = Fraction(1, rng.randrange(3 * n.bit_length(), 200))
         params = seg.make_params(n, delta)
         primes = sieve.primes_up_to(math.isqrt(n))
-        assert sm.transform_length(primes, params) > 2 * block, (n, delta)
+        length = sm.make_partitions(primes, params)[0].pad_length
+        assert length > 2 * block, (n, delta)
         for p in (P1, P2):
-            got = sm.smooth_mobius_cells(primes, params, p)
+            got = sm.smooth_mobius_cells(primes, params, p, [UNIT])[0]
             expect = alternating_newton(primes, n, delta, params, p)
             assert np.array_equal(got, expect), (n, delta, p)
-        got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
+        got = sm.smooth_mobius_cells(primes, params, P1, [WEIGHT_N])[0]
         ref = weighted_mobius_cells([int(q) for q in primes], params)
         assert np.array_equal(got, ref % P1), (n, delta)
 
@@ -302,7 +299,7 @@ def test_partitions_share_the_smallest_sufficient_length():
         params = seg.make_params(n, delta)
         primes = sieve.primes_up_to(math.isqrt(n))
         parts = sm.make_partitions(primes, params)
-        length = sm.transform_length(primes, params)
+        length = sm.transform_counters(primes, params, [UNIT])["transform_length"]
         need = 1 + sum(part.r_used * seg.cell_index(int(primes[part.hi - 1]), params)
                        for part in parts)
         assert all(part.pad_length == length for part in parts), (n, delta)
@@ -337,7 +334,7 @@ def test_transform_memory_stays_blocked(weight):
         chars = counting._character_weights(4, modmath.DEFAULT_MODULI)
         call = lambda: sm.smooth_mobius_cells(primes, params, P1, weights=chars)
     else:
-        call = lambda: sm.smooth_mobius_cells(primes, params, P1, weight=weight)
+        call = lambda: sm.smooth_mobius_cells(primes, params, P1, [weight])
     _, peak = traced_peak(call)
     assert peak < 24 << 20, peak
     assert peak < sm._MEMORY_BUDGET, peak
@@ -381,22 +378,19 @@ def test_untruncated_ranges_are_direct_products(monkeypatch):
         parts = [sm.PrimePartition(lo, hi, r, length) for lo, hi, r, _ in ranges]
         monkeypatch.setattr(sm, "make_partitions", lambda *args: parts)
         for p in (P1, P2):
-            got = sm.smooth_mobius_cells(primes, params, p)
+            got = sm.smooth_mobius_cells(primes, params, p, [UNIT])[0]
             assert np.array_equal(
                 got, alternating_newton(primes, n, delta, params, p)), (n, delta)
         ref = weighted_mobius_cells([int(q) for q in primes], params) % P1
-        got = sm.smooth_mobius_cells(primes, params, P1, weight=WeightN())
+        got = sm.smooth_mobius_cells(primes, params, P1, [WEIGHT_N])[0]
         assert np.array_equal(got, ref), (n, delta)
-        got = sm.smooth_mobius_cells(
-            primes, params, P1, weights=[counting.MultiplicativeWeight.power(1)])
-        assert np.array_equal(got[0], ref), (n, delta)
 
 
 def character_mobius_cells(primes, params, weight, modulus):
     """Reference: scatter chi(m) * mu(m) over square-free products by cell."""
     top = params.top_cell
     cells = [seg.cell_index(q, params) for q in primes]
-    vals = [weight.value_at(q, modulus) for q in primes]
+    vals = weight.values_vec(primes, modulus).tolist()
     ref = [0] * (top + 1)
 
     def walk(i, k, val):
