@@ -4,11 +4,13 @@ Each function runs the same three-phase pipeline: build the cell arrays
 (weighted ones-array implicitly via prefix sums, truncated-Mobius array via
 the Fourier Newton route), sum the truncated convolution with the prefix
 trick, then remove the exact window correction and lift the per-modulus
-residues through the CRT. Every weight is a MultiplicativeWeight: n^ell
-(the unit weight is power(0)) or a Dirichlet character. Small inputs fall
-back to the direct sieves in oracles, which are exact by construction;
-inputs above MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are
-refused.
+residues through the CRT. The transforms of each NTT prime and the
+correction's chunks run as one job list on one worker pool. Every weight is
+a MultiplicativeWeight: n^ell (the unit weight is power(0)) or a Dirichlet
+character. The NTT primes are as few as a proven bound on the result
+allows (see _result_bound and _select_moduli). Small inputs fall back to the
+direct sieves in oracles, which are exact by construction; inputs above
+MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are refused.
 """
 
 import math
@@ -23,11 +25,12 @@ from . import error_correction, modmath, oracles, segmentation, sieve, smooth_mo
 
 
 class ResultRangeError(Exception):
-    """The requested value may not fit the CRT reconstruction range."""
+    """The requested value may not fit the CRT range of all the pool primes."""
 
 
 class ModulusSupportError(Exception):
-    """No modulus pair in the pool supports the requested character group."""
+    """Too few pool primes support the requested character group to cover
+    the result's range."""
 
 
 @dataclass
@@ -35,11 +38,12 @@ class Config:
     """Run-time settings shared by every public function.
 
     delta_scale scales the segmentation precision; inputs below cutoff go to
-    the direct sieves in oracles; chunk_size (None = adaptive) and threads
-    (0 = available parallelism) shape the correction's jobs. No value
-    depends on delta_scale, chunk_size or threads. The NTT prime pair is
-    not a setting: characters take the first pool pair whose p - 1 their
-    order divides, and every other function takes modmath.DEFAULT_MODULI.
+    the direct sieves in oracles; chunk_size (None = adaptive) shapes the
+    correction's jobs, and threads (0 = available parallelism) caps the
+    pool that runs them beside the transforms. No value depends on
+    delta_scale, chunk_size or threads. The NTT primes are not a setting:
+    each call takes the fewest pool primes, in pool order, whose product
+    covers its result's proven range (see _select_moduli).
     """
     delta_scale: Fraction = Fraction(1)
     cutoff: int = 100_000
@@ -297,9 +301,13 @@ def _celltops_desc(params):
     return params.bounds_np[1:top + 2][::-1] - 1
 
 
-def _pi_pipeline(n, config, weights, moduli):
-    """Shared transform core: returns (per-modulus rows of approx sums, one
-    per weight; params, primes, timings)."""
+def _pipeline(n, config, weights, moduli, **kwargs):
+    """The transforms of `weights` over each prime of `moduli` and the pair
+    correction at isqrt(n) (pairs_correction's keywords in kwargs), queued
+    as one job list on one pool: the transform jobs go first, so that they
+    run beside the correction's chunks. Returns the per-prime rows of
+    approximate sums (one per weight), the correction, params, primes, the
+    timings and, for --json, the pool's chunk and worker counts."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -309,9 +317,10 @@ def _pi_pipeline(n, config, weights, moduli):
     bound = math.isqrt(n)
     primes = sieve.primes_up_to(bound)
     timings["primes"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     celltops = _celltops_desc(params)
-    threads = config.resolved_threads()
+    _, _, chunks, workers = error_correction.correction_plan(
+        params, bound, config.chunk_size, config.resolved_threads(),
+        len(moduli))
 
     def one_modulus(p):
         mob = smooth_mobius.smooth_mobius_cells(primes, params, p,
@@ -319,32 +328,24 @@ def _pi_pipeline(n, config, weights, moduli):
         return [_prefix_dot(row, w.prefix_vec(celltops, p), p)
                 for row, w in zip(mob, weights)]
 
-    approx = error_correction.map_ordered(one_modulus, list(moduli), threads)
-    timings["convolution"] = time.perf_counter() - t0
-    return approx, params, primes, timings
-
-
-def _correction(params, config, timings, **kwargs):
-    """pairs_correction at isqrt(n) with the config's chunk size and threads,
-    timed as the correction phase. Returns its value and, for --json, the
-    chunk and worker counts of the pass."""
-    t0 = time.perf_counter()
-    bound = math.isqrt(params.n)
-    threads = config.resolved_threads()
-    corr = error_correction.pairs_correction(
-        params, bound, chunk_size=config.chunk_size, threads=threads, **kwargs)
-    timings["correction"] = time.perf_counter() - t0
-    _, _, chunks, workers = error_correction.correction_plan(
-        params, bound, config.chunk_size, threads)
-    return corr, {"correction_chunks": chunks, "correction_workers": workers}
+    with error_correction.JobPool(workers) as pool:
+        approx = [pool.submit("convolution", one_modulus, p) for p in moduli]
+        corr = error_correction.pairs_correction(
+            params, bound, moduli=moduli, chunk_size=config.chunk_size,
+            pool=pool, **kwargs)
+        approx = [job.result() for job in approx]
+    # summed job durations: with several workers the phases overlap
+    for phase in ("convolution", "correction"):
+        timings[phase] = pool.seconds.get(phase, 0.0)
+    counts = {"correction_chunks": chunks, "correction_workers": workers}
+    return approx, corr, params, primes, timings, counts
 
 
 def _prime_sum_result(function, n, weight, config, extra):
     """Sum of h(p) over primes p <= n through the main pipeline."""
-    moduli = modmath.DEFAULT_MODULI
-    approx, params, primes, timings = _pi_pipeline(n, config, [weight], moduli)
-    corr, counts = _correction(params, config, timings, weight=weight,
-                               moduli=moduli)
+    moduli = _select_moduli(_result_bound(function, n, weight.ell))
+    approx, corr, params, primes, timings, counts = _pipeline(
+        n, config, [weight], moduli, weight=weight)
     if weight.is_unit:
         corr = corr * len(moduli)  # the one exact class serves every modulus
     t0 = time.perf_counter()
@@ -357,7 +358,7 @@ def _prime_sum_result(function, n, weight, config, extra):
     extra.update(smooth_mobius.transform_counters(primes, params, [weight]))
     extra.update(counts)
     return ResultBundle(function, n, value, params.delta, params.window,
-                        tuple(moduli), timings, extra)
+                        moduli, timings, extra)
 
 
 def count_primes_result(n, config=None):
@@ -387,7 +388,6 @@ def sum_over_primes_result(n, power=1, config=None):
         return ResultBundle("sum-primes", n, value, None, None, None,
                             {"sieve": time.perf_counter() - t0},
                             {"power": power})
-    _check_sum_range(n, power, modmath.DEFAULT_MODULI)
     return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
 
 
@@ -395,15 +395,37 @@ def sum_over_primes(n, power=1, config=None):
     return sum_over_primes_result(n, power, config).value
 
 
-def _check_sum_range(n, power, moduli):
-    if n < 17:
-        return
-    bound = (13 * n // (10 * max(1, int(math.log(n))))) * n ** power
-    product = moduli[0] * moduli[1]
-    if bound >= product // 2:
+def _result_bound(function, n, power=0):
+    """A proven bound on |value| of `function` (a CLI name) at n; for
+    "mertens" n is the largest threshold of a mertens_multi call, which also
+    serves squarefree and totient-sum."""
+    if function == "mertens":
+        return n  # |M(x)| <= x
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois J.
+    # Math. 6 (1962), Corollary 1), so pi(n) <= 13 n // (10 floor(ln n)); a
+    # sum of p^power over primes <= n is at most pi(n) n^power, and pi-mod
+    # counts a subset of the primes
+    primes = 13 * n // (10 * max(1, int(math.log(max(n, 2)))))
+    return primes * n ** power
+
+
+def _select_moduli(bound, order=1):
+    """The first pool primes, in modmath.NTT_PRIMES order, whose p - 1 the
+    character order divides, as few as make their product exceed 2 * bound:
+    crt_combine then returns every value in [-bound, bound] exactly. Raises
+    ResultRangeError when even the whole pool cannot cover the bound, and
+    ModulusSupportError when the primes that support the order cannot."""
+    usable = tuple(p for p in modmath.NTT_PRIMES if (p - 1) % order == 0)
+    for k in range(1, len(usable) + 1):
+        if math.prod(usable[:k]) > 2 * bound:
+            return usable[:k]
+    if math.prod(modmath.NTT_PRIMES) <= 2 * bound:
         raise ResultRangeError(
-            f"sum of {power}-th prime powers up to {n} may exceed the "
-            f"reconstruction range of the modulus pair")
+            f"the result may reach {bound}, beyond the reconstruction range "
+            f"of all {len(modmath.NTT_PRIMES)} pool primes")
+    raise ModulusSupportError(
+        f"the pool primes that support characters of order {order} cannot "
+        f"reconstruct a result up to {bound}")
 
 
 def count_primes_mod_result(n, modulus, residue, config=None):
@@ -424,16 +446,16 @@ def count_primes_mod_result(n, modulus, residue, config=None):
                             {"modulus": modulus, "residue": residue})
     phi_m = math.prod((q - 1) * q ** (e - 1)
                       for q, e in modmath.factorize(modulus))
-    pair = _select_moduli(phi_m)
+    moduli = _select_moduli(_result_bound("pi-mod", n), phi_m)
     # the character transforms and the per-class correction depend on no
     # residue, cutoff, chunk size or thread count; cache them so that every
     # residue of one modulus shares one transform run and one correction pass
-    key = (n, modulus, pair, Fraction(config.delta_scale))
+    key = (n, modulus, moduli, Fraction(config.delta_scale))
     cached = _char_pipeline_cache.get(key)
     if cached is None:
-        chars = _character_weights(modulus, pair)
-        approx, params, primes, timings = _pi_pipeline(n, config, chars, pair)
-        classes, extra = _correction(params, config, timings, modulus=modulus)
+        chars = _character_weights(modulus, moduli)
+        approx, classes, params, primes, timings, extra = _pipeline(
+            n, config, chars, moduli, modulus=modulus)
         # a hit reports the chunk and worker counts of the pass that filled
         # the entry
         extra.update(smooth_mobius.transform_counters(primes, params, chars))
@@ -451,29 +473,21 @@ def count_primes_mod_result(n, modulus, residue, config=None):
     small = int(np.sum(np.asarray(primes, dtype=np.int64) % modulus == residue))
     indicator = 1 if residue % modulus == 1 % modulus else 0
     residues = []
-    for rows, p in zip(approx, pair):
+    for rows, p in zip(approx, moduli):
         inv_phi = pow(phi_m, -1, p)
         s = 0
         for k, w in enumerate(chars):
             s = (s + int(w.values_vec([r_inv], p)[0]) * rows[k]) % p
         residues.append((s * inv_phi - classes[residue] - indicator + small) % p)
-    value = modmath.crt_combine(residues, pair)
+    value = modmath.crt_combine(residues, moduli)
     timings["combine"] = time.perf_counter() - t0
     return ResultBundle("pi-mod", n, value, params.delta, params.window,
-                        tuple(pair), timings,
+                        moduli, timings,
                         {"modulus": modulus, "residue": residue, **extra})
 
 
 def count_primes_mod(n, modulus, residue, config=None):
     return count_primes_mod_result(n, modulus, residue, config).value
-
-
-def _select_moduli(phi_m):
-    pool = [p for p in modmath.NTT_PRIMES if (p - 1) % phi_m == 0]
-    if len(pool) < 2:
-        raise ModulusSupportError(
-            f"no modulus pair supports characters of order {phi_m}")
-    return tuple(pool[:2])
 
 
 def mertens_result(n, config=None):
@@ -530,7 +544,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
         if delta is None:
             delta = _pipeline_delta(n_max, config)
         params_max = segmentation.make_params(n_max, delta)
-        moduli = modmath.DEFAULT_MODULI
+        moduli = _select_moduli(_result_bound("mertens", n_max))
         # cell array of mu up to the truncation, exact then per-modulus
         cells = segmentation.cell_index_vec(
             np.arange(1, trunc + 1, dtype=np.uint64), params_max)
@@ -560,7 +574,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
             sub_t["threshold"] = time.perf_counter() - t1
             results[n_i] = ResultBundle(
                 "mertens-multi", n_i, value, delta,
-                error_correction.triple_window(sub), tuple(moduli), sub_t,
+                error_correction.triple_window(sub), moduli, sub_t,
                 {"trunc": trunc})
     return [results[n_i] for n_i in ns]
 
@@ -594,6 +608,7 @@ def count_squarefree_result(n, config=None):
         else:
             pending[th] = pending.get(th, 0) + 1
     timings["thresholds"] = time.perf_counter() - t0
+    moduli = None
     if pending:
         t0 = time.perf_counter()
         delta = Fraction(1, max(d, 8 * max(2, (n - 1).bit_length())))
@@ -603,9 +618,9 @@ def count_squarefree_result(n, config=None):
         bundles = mertens_multi(sorted(pending), trunc, config, delta=delta)
         for bundle in bundles:
             total += (bundle.value - m_d) * pending[bundle.n]
+        moduli = bundles[-1].moduli  # those of the largest threshold
         timings["mertens"] = time.perf_counter() - t0
-    return ResultBundle("squarefree", n, total, None, None,
-                        modmath.DEFAULT_MODULI if pending else None, timings)
+    return ResultBundle("squarefree", n, total, None, None, moduli, timings)
 
 
 def count_squarefree(n, config=None):
@@ -649,6 +664,7 @@ def totient_sum_result(n, config=None):
             pending[q] = weight
         k = k2 + 1
     timings["blocks"] = time.perf_counter() - t0
+    moduli = None
     if pending:
         t0 = time.perf_counter()
         trunc = math.isqrt(n)
@@ -657,9 +673,9 @@ def totient_sum_result(n, config=None):
         bundles = mertens_multi(sorted(pending), trunc, config)
         for bundle in bundles:
             total += bundle.value * pending[bundle.n]
+        moduli = bundles[-1].moduli  # those of the largest threshold
         timings["mertens"] = time.perf_counter() - t0
-    return ResultBundle("totient-sum", n, total, None, None,
-                        modmath.DEFAULT_MODULI if pending else None, timings)
+    return ResultBundle("totient-sum", n, total, None, None, moduli, timings)
 
 
 def totient_sum(n, config=None):

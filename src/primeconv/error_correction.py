@@ -16,7 +16,9 @@ triples_correction.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,37 +61,66 @@ def _auto_chunk(total, chunk_size):
     return min(1 << 22, max(1 << 20, (total >> 3) + 1))
 
 
-def correction_plan(params, bound, chunk_size=None, threads=1):
+def correction_plan(params, bound, chunk_size=None, threads=1, transforms=0):
     """(cap_x, chunk, chunks, workers) of pairs_correction: the divisor split
     cap_x, the chunk length, the number of chunk jobs over (0, cap_x] and
-    (n, n + S], and the worker threads that run them. Workers never exceed
-    the jobs, and workers x chunk x _JOB_BYTES stays within _MEMORY_BUDGET.
-    An empty window has no jobs and no workers."""
+    (n, n + S], and the worker threads of a pool that runs them after
+    `transforms` other jobs (a pipeline's transforms, queued first). Workers
+    never exceed the jobs, and workers x chunk x _JOB_BYTES stays within
+    _MEMORY_BUDGET, so the chunks held at once fit it; a transform job holds
+    at most smooth_mobius._MEMORY_BUDGET. No jobs, no workers."""
     window = params.window
     cap_x = max(window, (params.n + window) // bound)
     chunk = _auto_chunk(window, chunk_size)
-    if window <= 0:
-        return cap_x, chunk, 0, 0
-    chunks = -(-cap_x // chunk) + -(-window // chunk)
-    if cap_x <= chunk:
-        # one chunk per range (cap_x >= S): two short jobs, which contend for
-        # the interpreter lock more than a second worker saves
-        return cap_x, chunk, chunks, 1
+    chunks = -(-cap_x // chunk) + -(-window // chunk) if window > 0 else 0
     budget = max(1, _MEMORY_BUDGET // (chunk * _JOB_BYTES))
-    return cap_x, chunk, chunks, min(threads, chunks, budget)
+    return cap_x, chunk, chunks, min(threads, chunks + transforms, budget)
 
 
-def map_ordered(fn, items, threads):
-    """[fn(item) for item in items], run on up to `threads` worker threads.
-    No pool starts for one thread or one item."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
+class JobPool:
+    """Worker threads shared by the jobs of one call, or the calling thread
+    alone for one worker. Jobs start in submission order; seconds[phase]
+    sums the run time of that phase's jobs, so overlapping jobs count
+    twice."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.seconds = {}
+        self._lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(workers) if workers > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def submit(self, phase, fn, *args):
+        """A future of fn(*args); without worker threads it runs at once."""
+        if self._executor is not None:
+            return self._executor.submit(self._timed, phase, fn, args)
+        future = Future()
+        future.set_result(self._timed(phase, fn, args))
+        return future
+
+    def map(self, phase, fn, items):
+        """[fn(item) for item in items], the jobs queued together."""
+        jobs = [self.submit(phase, fn, item) for item in items]
+        return [job.result() for job in jobs]
+
+    def _timed(self, phase, fn, args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            with self._lock:
+                self.seconds[phase] = (self.seconds.get(phase, 0.0)
+                                       + time.perf_counter() - t0)
 
 
 def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
-                     chunk_size=None, threads=1):
+                     chunk_size=None, pool=None):
     """Divisor-major evaluation of the pair error sum.
 
     Splits on the divisor value at cap_x = max(S, (n + S) // bound): divisors
@@ -109,16 +140,15 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     residue per prime in `moduli`.
 
     Each chunk of (0, cap_x] and of (n, n + S] is one job whose partial sums
-    are added up in chunk order. When a range spans more than one chunk, the
-    jobs run on up to `threads` worker threads, one chunk in memory per
-    worker; correction_plan caps the workers by a memory budget.
+    are added up in chunk order. The jobs run as the "correction" phase of
+    `pool`, a JobPool that other jobs may share (correction_plan sizes it),
+    or on the calling thread without one.
     """
     n = params.n
     window = params.window
     unit = weight is None or weight.is_unit
     width = modulus if unit else len(moduli)
-    cap_x, chunk, chunks, workers = correction_plan(
-        params, bound, chunk_size, threads)
+    cap_x, chunk, chunks, _ = correction_plan(params, bound, chunk_size)
     if not chunks:
         return [0] * width if unit else (0,) * width
     top = params.top_cell
@@ -226,7 +256,8 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
 
     jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
-    parts = map_ordered(lambda job: job[0](job[1], job[2]), jobs, workers)
+    parts = (pool or JobPool(1)).map(
+        "correction", lambda job: job[0](job[1], job[2]), jobs)
     sums = [sum(col) for col in zip(*parts)]
     if unit:
         # a product sharing a factor with the modulus is in no coprime class

@@ -3,19 +3,20 @@ exponentials and CRT recombination.
 
 All transforms run over word-sized prime fields chosen so that products of two
 residues fit in uint64, which lets every butterfly stay inside vectorized numpy
-arithmetic. Final results are reconstructed from a pair of coprime moduli.
+arithmetic. Final results are reconstructed by the CRT from as many pool
+primes as their range needs.
 """
 
 import numpy as np
 
 # NTT-friendly primes with large power-of-two subgroups and known primitive
-# roots. Pairwise products are ~2^62, far above any value this library lifts.
+# roots, in the order callers take them; each p^2 fits in uint64, and all
+# three together reconstruct values up to about 2^92 in size.
 #   2013265921 = 15 * 2^27 + 1   (p - 1 divisible by 2^27, 3, 5)
 #   2281701377 = 17 * 2^27 + 1   (p - 1 divisible by 2^27, 17)
 #   3221225473 =  3 * 2^30 + 1   (p - 1 divisible by 2^30, 3)
 NTT_PRIMES = (2013265921, 2281701377, 3221225473)
 _PRIMITIVE_ROOTS = {2013265921: 31, 2281701377: 3, 3221225473: 5}
-DEFAULT_MODULI = (2013265921, 2281701377)
 
 
 def factorize(n):

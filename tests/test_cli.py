@@ -89,29 +89,33 @@ def test_json_carries_transform_length_and_plain_output_does_not(
 
 
 def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
-    # the correction's job list is the last one handed to map_ordered; the
-    # --json fields must describe the run that happened
+    # the correction's job list is the last "correction" list handed to a
+    # JobPool, beside the transform jobs of the same pool; the --json fields
+    # must describe the run that happened
     seen = []
-    real = error_correction.map_ordered
+    real = error_correction.JobPool.map
 
-    def record(fn, items, threads):
-        seen.append((len(items), threads))
-        return real(fn, items, threads)
+    def record(pool, phase, fn, items):
+        if phase == "correction":
+            seen.append((len(items), pool.workers))
+        return real(pool, phase, fn, items)
 
-    monkeypatch.setattr(error_correction, "map_ordered", record)
+    monkeypatch.setattr(error_correction.JobPool, "map", record)
     n = 200_000
     flags = ["--chunk-size", "4096", "--threads", "2"]
     counting._char_pipeline_cache.clear()
-    cases = ((["pi", str(n)], oracles.pi_naive(n)),
-             (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1)),
+    cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
+             (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1), 2),
              (["pi-mod", str(n), "--modulus", "4", "--residue", "3"],
-              oracles.pi_mod_naive(n, 4, 3)))
-    for argv, value in cases:
+              oracles.pi_mod_naive(n, 4, 3), 1))
+    for argv, value, primes in cases:
         seen.clear()
         code, out, _ = run_cli(capsys, "--json", *flags, *argv)
         assert code == 0
         obj = json.loads(out)
         assert obj["result"] == value, argv
+        # the moduli are the primes used: as few as the result's bound needs
+        assert len(obj["moduli"]) == primes, argv
         assert seen[-1] == (obj["correction_chunks"], obj["correction_workers"])
         assert obj["correction_chunks"] > 2 and obj["correction_workers"] == 2
         code, out, _ = run_cli(capsys, *flags, *argv)
@@ -162,8 +166,9 @@ def test_negative_chunk_size_exits_2(capsys, monkeypatch):
 def test_range_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "sum-primes", "100000000", "--power", "4")
     assert code == 3 and "range" in err
-    # phi(11) = 10 divides p - 1 for one pool prime only
-    code, _, err = run_cli(capsys, "pi-mod", "1000000", "--modulus", "11",
+    # phi(11) = 10 divides p - 1 for one pool prime only, and pi(10^11)
+    # needs two
+    code, _, err = run_cli(capsys, "pi-mod", "100000000000", "--modulus", "11",
                            "--residue", "1")
     assert code == 3 and "order 10" in err
 

@@ -43,12 +43,16 @@ def test_count_primes_rejects_out_of_range():
 
 
 def test_crt_consistency_across_modulus_pairs(monkeypatch):
+    # pi(n) needs one prime here: rotating the pool order makes each pool
+    # prime the single prime of one run
     n = 2 * 10 ** 5 + 7
     base = primeconv.count_primes(n)
-    for pair in ((modmath.NTT_PRIMES[0], modmath.NTT_PRIMES[2]),
-                 (modmath.NTT_PRIMES[1], modmath.NTT_PRIMES[2])):
-        monkeypatch.setattr(modmath, "DEFAULT_MODULI", pair)
-        assert primeconv.count_primes(n) == base
+    pool = modmath.NTT_PRIMES
+    for i in range(len(pool)):
+        monkeypatch.setattr(modmath, "NTT_PRIMES", pool[i:] + pool[:i])
+        bundle = counting.count_primes_result(n)
+        assert bundle.moduli == (pool[i],)
+        assert bundle.value == base
 
 
 def test_sum_over_primes_examples():
@@ -63,6 +67,42 @@ def test_sum_over_primes_examples():
 def test_sum_over_primes_range_guard():
     with pytest.raises(counting.ResultRangeError):
         primeconv.sum_over_primes(10 ** 8, 4)
+
+
+def test_sum_over_primes_on_three_primes():
+    # sum of p^3 up to 10^6 may reach about 10^23: all three pool primes
+    bundle = counting.sum_over_primes_result(10 ** 6, 3)
+    assert bundle.moduli == modmath.NTT_PRIMES
+    assert bundle.value == oracles.sum_primes_naive(10 ** 6, 3)
+
+
+def test_result_moduli_are_the_fewest_the_bound_needs():
+    # the bounds: pi(x) <= 13 x // (10 floor(ln x)), which lies above
+    # Rosser-Schoenfeld's 1.25506 x / ln x; a sum of p^l is at most that
+    # times x^l; |M(x)| <= x at the largest threshold of mertens_multi
+    n = 200_000
+    pool = modmath.NTT_PRIMES
+    pi_bound = 13 * n // (10 * int(math.log(n)))
+
+    def fewest(bound):
+        k = next(k for k in range(1, len(pool) + 1)
+                 if math.prod(pool[:k]) > 2 * bound)
+        return pool[:k]
+
+    # squarefree with cutoff 100 takes thresholds up to isqrt(n) = 447
+    cases = (
+        (counting.count_primes_result(n), pi_bound, 1),
+        (counting.sum_over_primes_result(n, 1), pi_bound * n, 2),
+        (counting.sum_over_primes_result(n, 2), pi_bound * n ** 2, 2),
+        (counting.sum_over_primes_result(n, 3), pi_bound * n ** 3, 3),
+        (counting.count_primes_mod_result(n, 4, 3), pi_bound, 1),
+        (counting.mertens_result(n), n, 1),
+        (counting.totient_sum_result(n), n, 1),
+        (counting.count_squarefree_result(n, counting.Config(cutoff=100)),
+         math.isqrt(n), 1))
+    for bundle, bound, k in cases:
+        assert bundle.moduli == fewest(bound), bundle.function
+        assert len(bundle.moduli) == k, bundle.function
 
 
 def test_count_primes_mod_examples():
@@ -96,12 +136,16 @@ def test_count_primes_mod_cross_identity():
 
 
 def test_count_primes_mod_needs_compatible_pool():
-    # phi = 6 forces the pool pair whose orders include a factor of three
+    # phi = 6 forces the pool primes whose orders include a factor of three
     got = primeconv.count_primes_mod(2 * 10 ** 5, 7, 3, FAST)
     assert got == oracles.pi_mod_naive(2 * 10 ** 5, 7, 3)
-    # phi(11) = 10 divides p - 1 for one pool prime only
+    # phi(11) = 10 divides p - 1 for one pool prime only: enough where one
+    # prime covers pi(n), and refused before any work where n needs two
+    bundle = counting.count_primes_mod_result(2 * 10 ** 5, 11, 3, FAST)
+    assert bundle.moduli == (modmath.NTT_PRIMES[0],)
+    assert bundle.value == oracles.pi_mod_naive(2 * 10 ** 5, 11, 3)
     with pytest.raises(counting.ModulusSupportError):
-        primeconv.count_primes_mod(2 * 10 ** 5, 11, 3, FAST)
+        primeconv.count_primes_mod(10 ** 11, 11, 3, FAST)
 
 
 def test_mertens_examples_and_random():
@@ -313,7 +357,7 @@ def test_result_bundles_carry_provenance():
 
 def test_weight_prefix_vectors():
     w = counting.MultiplicativeWeight.power(2)
-    p = modmath.DEFAULT_MODULI[0]
+    p = modmath.NTT_PRIMES[0]
     xs = np.array([0, 1, 2, 3, 10, 10 ** 6, 2 ** 34], dtype=np.uint64)
     got = w.prefix_vec(xs, p)
     for x, g in zip(xs.tolist(), got.tolist()):
@@ -329,9 +373,10 @@ def test_weight_prefix_vectors():
 
 def _character_table(m):
     """The characters mod m, their pair and, per prime of the pair, their
-    phi x m value table; phi comes from the factorization of m."""
+    phi x m value table; phi comes from the factorization of m, and the
+    bound 2^40 takes two pool primes."""
     phi = math.prod((q - 1) * q ** (e - 1) for q, e in modmath.factorize(m))
-    pair = counting._select_moduli(phi)
+    pair = counting._select_moduli(2 ** 40, phi)
     chars = counting._character_weights(m, pair)
     assert len(chars) == phi
     n = np.arange(m)
@@ -379,11 +424,19 @@ def test_character_tables_are_characters_at_1024():
 
 def test_thread_count_neutral_for_values():
     # chunks of 4096 split the correction's window (13,225 entries at this n)
-    # into several jobs, so more than one thread runs them
+    # into several jobs, so more than one thread runs them, beside the
+    # transform jobs of the same pool
     n = 300_000
-    vals = {primeconv.count_primes(n, counting.Config(threads=t, chunk_size=c))
-            for t in (1, 2, 4) for c in (None, 4096)}
-    assert vals == {oracles.pi_naive(n)}
+    calls = ((primeconv.count_primes, (), oracles.pi_naive(n)),
+             (primeconv.count_primes_mod, (4, 3), oracles.pi_mod_naive(n, 4, 3)),
+             (primeconv.sum_over_primes, (1,), oracles.sum_primes_naive(n, 1)))
+    for fn, args, expect in calls:
+        vals = set()
+        for t in (1, 2, 4):
+            for c in (None, 4096):
+                counting._char_pipeline_cache.clear()
+                vals.add(fn(n, *args, counting.Config(threads=t, chunk_size=c)))
+        assert vals == {expect}, fn.__name__
 
 
 def test_sum_over_primes_range_guard_spares_the_sieve_path():

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from primeconv import error_correction as ec
 from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 
-P1, P2 = modmath.DEFAULT_MODULI
+P1, P2 = modmath.NTT_PRIMES[:2]
 # the completely multiplicative weight h(m) = m
 WEIGHT_N = counting.MultiplicativeWeight.power(1)
 
@@ -207,14 +209,14 @@ def test_auto_chunk_is_capped():
 
 
 def test_correction_workers_fit_the_memory_budget(monkeypatch):
-    # map_ordered records the worker count instead of starting threads
+    # JobPool.map records the worker count instead of starting threads
     seen = []
 
-    def record(fn, items, threads):
-        seen.append((len(items), threads))
+    def record(pool, phase, fn, items):
+        seen.append((len(items), pool.workers))
         return [[0]] * len(items)
 
-    monkeypatch.setattr(ec, "map_ordered", record)
+    monkeypatch.setattr(ec.JobPool, "map", record)
     n = 10 ** 10
     params = seg.make_params(
         n, counting._pipeline_delta(n, counting.Config()), need_window=True)
@@ -224,16 +226,68 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
     for chunk, threads, jobs, workers in ((None, 64, 16, 4), (None, 2, 16, 2),
                                           (1 << 20, 64, 54, 16)):
         seen.clear()
-        assert ec.pairs_correction(params, bound, threads=threads,
-                                   chunk_size=chunk) == [0]
-        assert seen == [(jobs, workers)], (chunk, threads)
         assert ec.correction_plan(params, bound, chunk, threads)[2:] == (
             jobs, workers)
+        with ec.JobPool(workers) as pool:
+            assert ec.pairs_correction(params, bound, chunk_size=chunk,
+                                       pool=pool) == [0]
+        assert seen == [(jobs, workers)], (chunk, threads)
         size = ec._auto_chunk(params.window, chunk)
         assert workers * size * ec._JOB_BYTES <= ec._MEMORY_BUDGET
         assert workers == threads or (
             (workers + 1) * size * ec._JOB_BYTES > ec._MEMORY_BUDGET)
 
+
+
+def test_pool_runs_transforms_beside_a_short_correction():
+    # two one-chunk ranges and the transform jobs queued ahead of them: the
+    # pool gives each job a worker, up to the threads asked for
+    n, delta = 200_000, Fraction(1, 200)
+    params = seg.make_params(n, delta, need_window=True)
+    bound = math.isqrt(n)
+    cap_x, chunk, chunks, _ = ec.correction_plan(params, bound)
+    assert cap_x <= chunk and chunks == 2
+    assert ec.correction_plan(params, bound, None, 2, 1)[2:] == (2, 2)
+    assert ec.correction_plan(params, bound, None, 8, 3)[2:] == (2, 5)
+    # the memory budget still caps a pool that holds transforms: four
+    # workers at the default chunks of 10^10
+    big = seg.make_params(10 ** 10, counting._pipeline_delta(
+        10 ** 10, counting.Config()), need_window=True)
+    assert ec.correction_plan(big, 10 ** 5, None, 64, 2)[2:] == (16, 4)
+    # a shared pool returns each job's own value, whatever runs beside it,
+    # and times the phases apart
+    expect = ec.pairs_correction(params, bound)
+    with ec.JobPool(2) as pool:
+        other = pool.submit("convolution", sum, [1, 2])
+        got = ec.pairs_correction(params, bound, chunk_size=977, pool=pool)
+        assert other.result() == 3
+    assert got == expect
+    assert set(pool.seconds) == {"convolution", "correction"}
+
+
+def test_job_pool_keeps_order_and_every_duration():
+    # more workers than cores and a short switch interval: a lost update of
+    # the shared phase sums would leave them below the jobs' own durations
+    inner = []
+
+    def job(i):
+        t0 = time.perf_counter()
+        time.sleep(0.005)
+        inner.append(time.perf_counter() - t0)
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ec.JobPool(8) as pool:
+            other = pool.submit("a", job, -1)
+            got = pool.map("b", job, range(200))
+            assert other.result(timeout=60) == -1
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(200))
+    assert set(pool.seconds) == {"a", "b"}
+    assert pool.seconds["a"] + pool.seconds["b"] >= sum(inner)
 
 
 def test_correction_jobs_fit_their_byte_budget():
@@ -247,7 +301,7 @@ def test_correction_jobs_fit_their_byte_budget():
     sieve.primes_up_to(bound)
     chunk = ec._auto_chunk(params.window, None)
     for kwargs in ({}, {"weight": counting.MultiplicativeWeight.power(1),
-                        "moduli": modmath.DEFAULT_MODULI}):
+                        "moduli": modmath.NTT_PRIMES[:2]}):
         tracemalloc.start()
         try:
             ec.pairs_correction(params, bound, **kwargs)
@@ -300,8 +354,9 @@ def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     for kwargs, expect in modes:
         for threads in (1, 2, 3):
             for chunk in (None, 977, 1 << 12):
-                got = ec.pairs_correction(params, bound, threads=threads,
-                                          chunk_size=chunk, **kwargs)
+                with ec.JobPool(threads) as pool:
+                    got = ec.pairs_correction(params, bound, chunk_size=chunk,
+                                              pool=pool, **kwargs)
                 assert got == expect, (kwargs, threads, chunk)
     # divisor blocks of 61 entries: every divisor chunk spans many blocks and
     # ends in a partial one

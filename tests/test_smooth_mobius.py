@@ -9,7 +9,7 @@ import pytest
 from primeconv import counting, modmath, oracles, segmentation as seg, sieve
 from primeconv import smooth_mobius as sm
 
-P1, P2 = modmath.DEFAULT_MODULI
+P1, P2 = modmath.NTT_PRIMES[:2]
 UNIT = counting.MultiplicativeWeight.power(0)
 # the completely multiplicative weight h(m) = m
 WEIGHT_N = counting.MultiplicativeWeight.power(1)
@@ -331,7 +331,7 @@ def test_transform_memory_stays_blocked(weight):
     # L = 2^17 at 10^9
     params, primes = engine_setup(10 ** 9)
     if weight == "chars4":
-        chars = counting._character_weights(4, modmath.DEFAULT_MODULI)
+        chars = counting._character_weights(4, modmath.NTT_PRIMES[:2])
         call = lambda: sm.smooth_mobius_cells(primes, params, P1, weights=chars)
     else:
         call = lambda: sm.smooth_mobius_cells(primes, params, P1, [weight])
@@ -344,7 +344,7 @@ def test_large_character_group_runs_in_groups_under_the_budget(monkeypatch):
     # phi(1024) = 512 characters: with a budget that holds about a quarter
     # of them per pass, the passes stay under it and give the same rows
     params, primes = engine_setup(2 * 10 ** 5)
-    chars = counting._character_weights(1024, modmath.DEFAULT_MODULI)
+    chars = counting._character_weights(1024, modmath.NTT_PRIMES[:2])
     parts = sm.make_partitions(primes, params)
     length = parts[0].pad_length
     assert len(sm._weight_groups(chars, parts, length)) == 1
@@ -413,7 +413,7 @@ def test_character_powers_by_dilation(m):
     assert max(part.r_used for part in sm.make_partitions(primes, params)
                if sm._truncated(part)) >= 3
     phi = math.prod((q - 1) * q ** (e - 1) for q, e in modmath.factorize(m))
-    pair = counting._select_moduli(phi)
+    pair = counting._select_moduli(2 ** 40, phi)  # a bound that needs two
     chars = counting._character_weights(m, pair)
     assert any(len({w.power_key(r) for r in range(1, 5)}) == 4 for w in chars)
     rows = sm.smooth_mobius_cells(primes, params, pair[0], weights=chars)
@@ -444,7 +444,7 @@ def test_forward_transforms_per_modulus_at_1e9(monkeypatch):
         return real(values, ctx)
 
     monkeypatch.setattr(modmath, "ntt_forward", counted)
-    chars = counting._character_weights(4, modmath.DEFAULT_MODULI)
+    chars = counting._character_weights(4, modmath.NTT_PRIMES[:2])
     cases = (([UNIT], 2), ([counting.MultiplicativeWeight.power(1)], 10),
              (chars, 4))
     for weights, expect in cases:
