@@ -113,10 +113,10 @@ class MultiplicativeWeight:
 
     def values_vec(self, arr, modulus):
         arr = np.asarray(arr, dtype=np.uint64)
-        p = np.uint64(modulus)
         if self.kind == "power":
-            return _pow_vec(arr % p, self.ell, modulus)
-        return self._tables[modulus][(arr % np.uint64(self.char_mod)).astype(np.int64)]
+            return _pow_vec(arr, self.ell, modulus)
+        return self._tables[modulus][
+            modmath.mod(arr, self.char_mod).astype(np.int64)]
 
     def prime_power_values(self, primes, r, modulus):
         """h(p^r) = h(p)^r mod modulus for each prime."""
@@ -125,25 +125,29 @@ class MultiplicativeWeight:
     def prefix_vec(self, arr, modulus):
         """H(x) = sum_{1 <= i <= x} h(i) mod modulus, vectorized."""
         arr = np.asarray(arr, dtype=np.uint64)
-        p = np.uint64(modulus)
         if self.kind == "power":
             return _lagrange_prefix(arr, self.ell, modulus)
         m = np.uint64(self.char_mod)
         full, pre = self._prefix_tables[modulus]
-        return ((arr // m) % p * np.uint64(full)
-                + pre[(arr % m).astype(np.int64)]) % p
+        blocks = arr // m
+        tail = pre[(arr - blocks * m).astype(np.int64)]
+        out = modmath.mod(blocks, modulus, out=blocks)
+        out *= np.uint64(full)
+        out += tail
+        return modmath.mod(out, modulus, out=out)
 
 
 def _pow_vec(vals, e, modulus):
-    p = np.uint64(modulus)
     out = np.ones(len(vals), dtype=np.uint64)
-    base = vals % p
+    base = modmath.mod(vals, modulus)
     while e:
         if e & 1:
-            out = out * base % p
+            out *= base
+            modmath.mod(out, modulus, out=out)
         e >>= 1
         if e:
-            base = base * base % p
+            base *= base
+            modmath.mod(base, modulus, out=base)
     return out
 
 
@@ -169,17 +173,21 @@ def _lagrange_prefix(xs, ell, modulus):
             inv_den[i] = pow(den % modulus, -1, modulus)
         _lagrange_cache[key] = (ys, inv_den)
     ys, inv_den = _lagrange_cache[key]
-    p = np.uint64(modulus)
-    xm = np.asarray(xs, dtype=np.uint64) % p
+    xm = modmath.mod(np.asarray(xs, dtype=np.uint64), modulus)
+
+    def minus(i):  # (x - i) mod p: x + p - i lies below 2p
+        return modmath.mod(xm + np.uint64(modulus - i), modulus)
+
     pre = np.ones((k, len(xm)), dtype=np.uint64)
     for i in range(1, k):
-        pre[i] = pre[i - 1] * ((xm + p - np.uint64(i - 1)) % p) % p
+        pre[i] = modmath.mod(pre[i - 1] * minus(i - 1), modulus)
     suf = np.ones(len(xm), dtype=np.uint64)
     out = np.zeros(len(xm), dtype=np.uint64)
     for i in range(k - 1, -1, -1):
-        term = ys[i] * inv_den[i] % p
-        out = (out + pre[i] * suf % p * term) % p
-        suf = suf * ((xm + p - np.uint64(i)) % p) % p
+        term = np.uint64(int(ys[i]) * int(inv_den[i]) % modulus)
+        out += modmath.mod(modmath.mod(pre[i] * suf, modulus) * term, modulus)
+        modmath.mod(out, modulus, out=out)
+        suf = modmath.mod(suf * minus(i), modulus)
     return out
 
 
@@ -291,8 +299,8 @@ def check_arguments(function, n, config, *, power=1, modulus=1, residue=0):
 
 
 def _prefix_dot(arr, weights_mod, modulus):
-    p = np.uint64(modulus)
-    return int(np.sum(arr * weights_mod % p) % p)
+    # each reduced product is below 2^32: no sum of fewer than 2^32 wraps
+    return int(np.sum(modmath.mod(arr * weights_mod, modulus))) % modulus
 
 
 def _celltops_desc(params):
@@ -307,7 +315,8 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     as one job list on one pool: the transform jobs go first, so that they
     run beside the correction's chunks. Returns the per-prime rows of
     approximate sums (one per weight), the correction, params, primes, the
-    timings and, for --json, the pool's chunk and worker counts."""
+    timings and, for --json, the correction's plan: its chunk jobs, the
+    pool's workers, the divisor split X and the largest stride cofactor."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -318,7 +327,7 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     primes = sieve.primes_up_to(bound)
     timings["primes"] = time.perf_counter() - t0
     celltops = _celltops_desc(params)
-    _, _, chunks, workers = error_correction.correction_plan(
+    plan = error_correction.correction_plan(
         params, bound, config.chunk_size, config.resolved_threads(),
         len(moduli))
 
@@ -328,7 +337,7 @@ def _pipeline(n, config, weights, moduli, **kwargs):
         return [_prefix_dot(row, w.prefix_vec(celltops, p), p)
                 for row, w in zip(mob, weights)]
 
-    with error_correction.JobPool(workers) as pool:
+    with error_correction.JobPool(plan.workers) as pool:
         approx = [pool.submit("convolution", one_modulus, p) for p in moduli]
         corr = error_correction.pairs_correction(
             params, bound, moduli=moduli, chunk_size=config.chunk_size,
@@ -337,7 +346,10 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     # summed job durations: with several workers the phases overlap
     for phase in ("convolution", "correction"):
         timings[phase] = pool.seconds.get(phase, 0.0)
-    counts = {"correction_chunks": chunks, "correction_workers": workers}
+    counts = {"correction_chunks": plan.chunks,
+              "correction_workers": plan.workers,
+              "correction_split": plan.split,
+              "stride_cofactors": plan.cofactors}
     return approx, corr, params, primes, timings, counts
 
 
@@ -567,7 +579,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
             residues = []
             corr = error_correction.triples_correction(sub, trunc, mu)
             for p in moduli:
-                a = _prefix_dot(conv2[p][:top + 1], tops % np.uint64(p), p)
+                a = _prefix_dot(conv2[p][:top + 1], modmath.mod(tops, p), p)
                 residues.append((2 * m_trunc - a + corr) % p)
             value = modmath.crt_combine(residues, moduli)
             sub_t = dict(timings)

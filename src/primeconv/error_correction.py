@@ -5,10 +5,11 @@ d1*d2*d3) just past the target bound as if they were inside it. Every such
 product lies in a short window (n, n+S].
 
 The pair sum is aggregated divisor-major (see pairs_correction): each
-admissible square-free smooth divisor d2 up to a split point contributes a
+admissible square-free smooth divisor d2 up to a split point X contributes a
 count of its cofactors inside an interval, read off the cell-boundary table;
 larger d2 are reached as m/d1 for small cofactors d1 through stride slices of
-the screened window. Its exact count is split by the class of the product
+the screened window. X minimises a measured cost model of the two sides
+(see _pair_split). Its exact count is split by the class of the product
 mod a modulus (one class for pi, all at once for residue classes); a
 weighted count is kept per NTT prime. The triple sum (Mertens) is counted
 in two halves split on d1*d2, with one interval count per pair in each: see
@@ -19,10 +20,11 @@ import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
-from . import segmentation, sieve
+from . import modmath, segmentation, sieve
 
 
 def triple_window(params):
@@ -40,14 +42,40 @@ def _chunk_ranges(lo, hi, chunk):
 
 
 # peak bytes a correction job holds per chunk entry (tracemalloc, one
-# worker): 17 with the unit weight and 26 with a power weight at 10^9, where
-# a divisor job's interval blocks span a quarter of the chunk, and 11 and 14
+# worker): 15 with the unit weight and 23 with a power weight at 10^9, where
+# a divisor job's interval blocks span a quarter of the chunk, and 11 and 13
 # at 10^10; all workers' chunks share one budget
 _JOB_BYTES = 32
 _MEMORY_BUDGET = 512 << 20
 
 # entries per block of a divisor job's interval arrays
 _DIVISOR_BLOCK = 1 << 18
+
+# cost model of the pair sum (see _pair_split), in ns: per entry of the
+# divisor screen (0, X] with its interval counts, per gathered entry of the
+# stride pass, and per (d1, window chunk) iteration on top of its gather.
+# Measured on one thread (2-CPU VM, numpy 2.4): the divisor jobs took 43-47
+# ns per entry of (0, X] at 10^9 and 10^10 (the screen 31 of them); a least-
+# squares fit of the stride iterations of d1 >= 100, whose slices touch one
+# cache line per entry, gave 5-8.5 ns per entry and 0-14 us per iteration at
+# 10^10 (3-4.6 ns at 10^9, where a chunk's codes take 2 MB). Scanning X at
+# 10^10, S/4 to S/8 ran within the noise of each other, S and S/12 slower.
+_SCREEN_NS = 40.0
+_GATHER_NS = 7.5
+_STRIDE_NS = 8_000.0
+
+# the largest stride cofactor d1_max the split allows: a window code fits
+# int16 while (d1_max + 2) x 2 (band + 1) <= 2^15, and the slack band stayed
+# below 8 at the default precision from 10^5 to 10^11
+_MAX_COFACTORS = (1 << 15) // 16 - 2
+
+# windows shorter than this run the whole call on one worker. Medians of
+# 11-15 alternated in-process calls of pi, sum-primes (power 1) and pi-mod
+# (modulus 4), one worker against a pool of two: one worker was faster or
+# even from n = 1e5 to 3e6 (S = 4,826 to 130,977), the two split at 5e6 and
+# 7e6 (S = 198,144 and 285,122), and the pool won all three at 1e7 (S =
+# 471,755), in 10 of 11 pairs each
+_POOL_WINDOW = 150_000
 
 
 def _auto_chunk(total, chunk_size):
@@ -61,20 +89,54 @@ def _auto_chunk(total, chunk_size):
     return min(1 << 22, max(1 << 20, (total >> 3) + 1))
 
 
+def _pair_split(n, window, bound, window_chunks):
+    """Divisor split X of the pair sum over (n, n + S], S = window.
+
+    The divisor screen costs _SCREEN_NS per entry of (0, X]. The stride
+    pass gathers about S ln(d1_max) entries at _GATHER_NS each and runs
+    about d1_max iterations per window chunk at _STRIDE_NS each, with
+    d1_max = (n + S) / X. The sum of the three is least where
+    a X^2 - b X - c = 0 for a = _SCREEN_NS, b = _GATHER_NS * S and
+    c = _STRIDE_NS * window_chunks * (n + S). X never falls below
+    (n + S) // bound, which keeps every stride cofactor below the bound, nor
+    so low that d1_max exceeds _MAX_COFACTORS."""
+    a = _SCREEN_NS
+    b = _GATHER_NS * window
+    c = _STRIDE_NS * window_chunks * (n + window)
+    x = (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
+    return max(int(x), (n + window) // min(bound, _MAX_COFACTORS + 1))
+
+
+class CorrectionPlan(NamedTuple):
+    """The shape of one pairs_correction call: the divisor split X, the
+    largest stride cofactor d1_max = (n + S) // (X + 1), the chunk length,
+    the chunk jobs over (0, X] and (n, n + S], and the pool's workers."""
+    split: int
+    cofactors: int
+    chunk: int
+    chunks: int
+    workers: int
+
+
 def correction_plan(params, bound, chunk_size=None, threads=1, transforms=0):
-    """(cap_x, chunk, chunks, workers) of pairs_correction: the divisor split
-    cap_x, the chunk length, the number of chunk jobs over (0, cap_x] and
-    (n, n + S], and the worker threads of a pool that runs them after
-    `transforms` other jobs (a pipeline's transforms, queued first). Workers
+    """The CorrectionPlan of pairs_correction over params.window = S, for a
+    pool that runs its chunk jobs after `transforms` other jobs (a
+    pipeline's transforms, queued first). X comes from _pair_split. Workers
     never exceed the jobs, and workers x chunk x _JOB_BYTES stays within
     _MEMORY_BUDGET, so the chunks held at once fit it; a transform job holds
-    at most smooth_mobius._MEMORY_BUDGET. No jobs, no workers."""
-    window = params.window
-    cap_x = max(window, (params.n + window) // bound)
+    at most smooth_mobius._MEMORY_BUDGET. A window shorter than
+    _POOL_WINDOW gets at most one worker. No jobs, no workers."""
+    n, window = params.n, params.window
     chunk = _auto_chunk(window, chunk_size)
-    chunks = -(-cap_x // chunk) + -(-window // chunk) if window > 0 else 0
+    window_chunks = -(-window // chunk)
+    split = _pair_split(n, window, bound, window_chunks)
+    chunks = -(-split // chunk) + window_chunks if window > 0 else 0
     budget = max(1, _MEMORY_BUDGET // (chunk * _JOB_BYTES))
-    return cap_x, chunk, chunks, min(threads, chunks + transforms, budget)
+    workers = min(threads, chunks + transforms, budget)
+    if window < _POOL_WINDOW:
+        workers = min(workers, 1)
+    return CorrectionPlan(split, (n + window) // (split + 1), chunk, chunks,
+                          workers)
 
 
 class JobPool:
@@ -123,14 +185,15 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
                      chunk_size=None, pool=None):
     """Divisor-major evaluation of the pair error sum.
 
-    Splits on the divisor value at cap_x = max(S, (n + S) // bound): divisors
-    d2 <= cap_x come from a screen of (0, cap_x] and each contributes a
-    cofactor-interval count in O(1); larger divisors are m/d1 for cofactors
-    d1 <= (n + S) // (cap_x + 1) < bound and come from stride slices of the
-    screened window itself. Such d1 have no prime factor above the bound, so
-    m/d1 is bound-smooth exactly when m is, and no pair is lost. S is
-    params.window. Each d1 reads mu(m/d1) over its stride slice with one
-    table gather from small per-entry codes (see _PairTable).
+    Splits on the divisor value at X (correction_plan, which weighs the
+    cost of the two sides): divisors d2 <= X come from a screen of (0, X]
+    and each contributes a cofactor-interval count in O(1); larger divisors
+    are m/d1 for cofactors d1 <= d1_max = (n + S) // (X + 1) < bound and
+    come from stride slices of the screened window itself. Such d1 have no
+    prime factor above the bound, so m/d1 is bound-smooth exactly when m
+    is, and no pair is lost. S is params.window. Each d1 reads mu(m/d1) over
+    its stride slice with one table gather from small per-entry codes (see
+    _PairTable and _stride_cofactors).
 
     Without a weight, or with the unit weight, the sum is exact and split by
     the class of the product m mod `modulus`: a list of `modulus` ints whose
@@ -139,7 +202,7 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     other weight h, the sum of h(m) over all products is returned as one
     residue per prime in `moduli`.
 
-    Each chunk of (0, cap_x] and of (n, n + S] is one job whose partial sums
+    Each chunk of (0, X] and of (n, n + S] is one job whose partial sums
     are added up in chunk order. The jobs run as the "correction" phase of
     `pool`, a JobPool that other jobs may share (correction_plan sizes it),
     or on the calling thread without one.
@@ -148,15 +211,16 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     window = params.window
     unit = weight is None or weight.is_unit
     width = modulus if unit else len(moduli)
-    cap_x, chunk, chunks, _ = correction_plan(params, bound, chunk_size)
-    if not chunks:
+    plan = correction_plan(params, bound, chunk_size)
+    if not plan.chunks:
         return [0] * width if unit else (0,) * width
     top = params.top_cell
+    split, chunk = plan.split, plan.chunk
     primes = sieve.primes_up_to(bound)
     pcells = sieve.prime_cell_indices(primes, params)
-    d1_max = (n + window) // (cap_x + 1)
     coprime = [c for c in range(modulus) if math.gcd(c, modulus) == 1]
     inv_table = _inverse_table(modulus)
+    ramp = np.arange(modulus)
 
     def divisor_job(lo, hi):
         smooth, kh, sign, sqfree, _ = sieve.screen_chunk(lo, hi, primes, pcells)
@@ -175,6 +239,10 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
         cap = params.bounds_np[(top - kd2) + 1].astype(np.int64) - 1
         upper = np.minimum((n + window) // d2, cap)
         lower = n // d2
+        if unit and modulus == 1:
+            # the cofactors of d2 are the k in (lower, upper]
+            return [int(np.dot(sd2.astype(np.int64),
+                               np.maximum(upper - lower, 0)))]
         live = upper > lower
         if unit:
             # a d2 sharing a factor with the modulus reaches no coprime class
@@ -194,67 +262,62 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
             return part
         part = []
         for p in moduli:
-            hv = weight.values_vec(d2, p)
-            sv = np.where(sg > 0, hv, (p - hv) % np.uint64(p))
-            pref = (weight.prefix_vec(upper.astype(np.uint64), p)
-                    + np.uint64(p)
-                    - weight.prefix_vec(lower.astype(np.uint64), p)) % np.uint64(p)
-            part.append(int(np.sum((sv * pref % np.uint64(p)).astype(np.int64))))
+            # h(d2) (H(upper) - H(lower)) mod p, signed by mu(d2)
+            pref = weight.prefix_vec(upper.astype(np.uint64), p)
+            pref += np.uint64(p)
+            pref -= weight.prefix_vec(lower.astype(np.uint64), p)
+            modmath.mod(pref, p, out=pref)
+            pref *= weight.values_vec(d2, p)
+            modmath.mod(pref, p, out=pref)
+            part.append(int(np.dot(pref.astype(np.int64), sg)))
         return part
 
     # large divisors: stride over the window for each small cofactor d1
-    # coprime to the modulus; d1 < bound, so its screen row is complete
-    d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
-    _, kd1s, sd1s, sq1s, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
-    kb1s = segmentation.cell_index_vec(d1s, params)
-    keep = (kb1s <= top) & (np.gcd(d1s, np.uint64(modulus)) == 1)
-    # m/d1 passes the cell test iff kh(m) - top <= slack(d1) = kd1 - kb1
-    slack = kd1s.astype(np.int64) - kb1s
-    lows = int(slack[keep].min(initial=0))
-    band = int(slack[keep].max(initial=0)) - lows + 1
-    table = _PairTable(sd1s * sq1s, d1_max, band)  # mu(1..d1_max)
-    d1_info = [(d1, table.rows(d1, s - lows)) for d1, s in
-               zip(d1s[keep].tolist(), slack[keep].tolist())]
+    table, lows, d1_info = _stride_cofactors(params, primes, pcells, plan,
+                                             modulus)
 
     def window_job(lo, hi):
         part = [0] * width
         per_class = np.zeros(modulus, dtype=np.int64)
         smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
-            lo, hi, primes, pcells, want_excess=True, excess_cap=d1_max + 1)
+            lo, hi, primes, pcells, want_excess=True,
+            excess_cap=plan.cofactors + 1)
         kh -= top + lows
         code = table.codes(smooth, kh, sign, excess)
         # the stride pass reads only the codes: free the screen's 9 B per entry
         del smooth, kh, sign, sqfree, excess
-        lookup = np.zeros(table.shape, dtype=np.int8)
-        for d1, (rows, block) in d1_info:
-            low = max(lo, d1 * (cap_x + 1) - 1)
-            first = (low // d1 + 1) * d1
+        lookup = np.zeros(table.size, dtype=np.int8)
+        for d1, start, cells, signs in d1_info:
+            # the products m = d1 * k with k > X, from the first above lo
+            if start > hi:
+                break  # start grows with d1
+            first = max(start, (lo // d1 + 1) * d1)
             if first > hi:
                 continue
             # mu(m/d1) for each m = first + j * d1, 0 when (d1, m/d1) is no pair
-            lookup[rows] = block
+            lookup[cells] = signs
             sg = lookup.take(code[first - (lo + 1)::d1])
-            lookup[rows] = 0
+            lookup[cells] = 0
             if unit:
                 if modulus == 1:
-                    per_class[0] += int(sg.sum(dtype=np.int64))
+                    per_class[0] += sg.sum(dtype=np.int64)
                     continue
                 # sub-stride r holds the products of class first + r * d1
                 tail = len(sg) % modulus
-                cls = (first + d1 * np.arange(modulus)) % modulus
+                cls = (first + d1 * ramp) % modulus
                 per_class[cls] += sg[:len(sg) - tail].reshape(-1, modulus).sum(
                     axis=0, dtype=np.int64)
                 per_class[cls[:tail]] += sg[len(sg) - tail:]
                 continue
             j = np.flatnonzero(sg)
             m = (first + j * d1).astype(np.uint64)
+            sj = sg[j].astype(np.int64)
             for i, p in enumerate(moduli):
                 hv = weight.values_vec(m, p)  # h(d1) h(m/d1) = h(m)
-                sv = np.where(sg[j] > 0, hv, (np.uint64(p) - hv) % np.uint64(p))
-                part[i] += int(np.sum(sv.astype(np.int64)))
+                part[i] += int(np.dot(hv.astype(np.int64), sj))
         return per_class.tolist() if unit else part
 
-    jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, cap_x, chunk)]
+    jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, split, chunk)]
     jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
     parts = (pool or JobPool(1)).map(
         "correction", lambda job: job[0](job[1], job[2]), jobs)
@@ -265,6 +328,28 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     return tuple(s % p for s, p in zip(sums, moduli))
 
 
+def _stride_cofactors(params, primes, pcells, plan, modulus):
+    """(table, lows, info) of the window stride pass: the _PairTable of the
+    cofactors d1 <= plan.cofactors, the least slack `lows`, and per d1
+    coprime to the modulus whose cell passes the top, in ascending order,
+    (d1, d1 * (X + 1), cells, signs) with the table entries that d1 sets.
+    d1 < bound, so its screen row is complete."""
+    top = params.top_cell
+    d1_max = plan.cofactors
+    d1s = np.arange(1, d1_max + 1, dtype=np.uint64)
+    _, kd1s, sd1s, sq1s, _ = sieve.screen_chunk(0, d1_max, primes, pcells)
+    kb1s = segmentation.cell_index_vec(d1s, params)
+    keep = (kb1s <= top) & (np.gcd(d1s, np.uint64(modulus)) == 1)
+    # m/d1 passes the cell test iff kh(m) - top <= slack(d1) = kd1 - kb1
+    slack = kd1s.astype(np.int64) - kb1s
+    lows = int(slack[keep].min(initial=0))
+    band = int(slack[keep].max(initial=0)) - lows + 1
+    table = _PairTable(sd1s * sq1s, d1_max, band)  # mu(1..d1_max)
+    info = [(d1, d1 * (plan.split + 1)) + table.rows(d1, s - lows)
+            for d1, s in zip(d1s[keep].tolist(), slack[keep].tolist())]
+    return table, lows, info
+
+
 class _PairTable:
     """Sign lookup of the window stride pass.
 
@@ -273,16 +358,16 @@ class _PairTable:
     mu(d1/e(m)). A window entry's code packs e (capped at d1_max + 1), the
     cell excess u = kh - top - lows (clamped to 0..band, band being above
     every slack) and the sign bit as (e * (band + 1) + u) * 2 + bit, and a
-    non-smooth m gets 0. For one d1 the table holds sign * mu(d1/e) in the
-    rows of the divisors e of d1 and the columns u <= slack(d1) - lows, and
-    0 elsewhere. A job sets one d1's rows at a time in one table of
+    non-smooth m gets 0. For one d1 the table holds sign * mu(d1/e) at the
+    codes of the divisors e of d1 and the columns u <= slack(d1) - lows, and
+    0 elsewhere. A job sets one d1's entries at a time in one flat table of
     (d1_max + 2) x 2 (band + 1) bytes, which stays small at every delta.
     """
 
     def __init__(self, mu, d1_max, band):
         self.shape = (d1_max + 2, 2 * (band + 1))
-        fits = (d1_max + 2) * 2 * (band + 1) <= 1 << 15
-        self.dtype = np.int16 if fits else np.int32
+        self.size = self.shape[0] * self.shape[1]
+        self.dtype = np.int16 if self.size <= 1 << 15 else np.int32
         # the divisors e of each d1 with d1/e = k square-free, in d1 order
         k = np.flatnonzero(mu) + 1
         reps = d1_max // k
@@ -294,12 +379,14 @@ class _PairTable:
         self.ends = np.cumsum(np.bincount(e * k, minlength=d1_max + 1))
 
     def rows(self, d1, width):
-        """(rows, block): the divisor rows of d1 and their values, set in the
-        columns u <= width for both sign bits."""
+        """(cells, signs): the flat table entries of d1 and their values,
+        the rows of its divisors e in the columns u <= width for both sign
+        bits."""
         a, b = self.ends[d1 - 1], self.ends[d1]
-        cols = np.zeros(self.shape[1], dtype=np.int8)
-        cols[0:2 * width + 2:2], cols[1:2 * width + 2:2] = 1, -1
-        return self.e[a:b], np.multiply.outer(self.mu[a:b], cols)
+        cols = np.arange(2 * width + 2)
+        cells = (self.e[a:b, None] * self.shape[1] + cols).ravel()
+        signs = np.multiply.outer(self.mu[a:b], 1 - 2 * (cols & 1)).ravel()
+        return cells, signs.astype(np.int8)
 
     def codes(self, smooth, u, sign, excess):
         """Codes of a window chunk from its screen; u = kh - top - lows is an

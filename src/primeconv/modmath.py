@@ -3,8 +3,10 @@ exponentials and CRT recombination.
 
 All transforms run over word-sized prime fields chosen so that products of two
 residues fit in uint64, which lets every butterfly stay inside vectorized numpy
-arithmetic. Final results are reconstructed by the CRT from as many pool
-primes as their range needs.
+arithmetic. Arrays are reduced by mod(), which divides by multiply and
+shift rather than by one hardware divide per entry, and sums below 2p by a
+conditional subtraction. Final results are reconstructed by the CRT from as
+many pool primes as their range needs.
 """
 
 import numpy as np
@@ -17,6 +19,22 @@ import numpy as np
 #   3221225473 =  3 * 2^30 + 1   (p - 1 divisible by 2^30, 3)
 NTT_PRIMES = (2013265921, 2281701377, 3221225473)
 _PRIMITIVE_ROOTS = {2013265921: 31, 2281701377: 3, 3221225473: 5}
+
+
+def mod(x, p, out=None):
+    """x mod p for a uint64 array x of at least one dimension, exact for
+    every entry, into `out` when given (which may be x itself).
+
+    numpy's // by one uint64 scalar inverts the divisor once and divides
+    each entry by a multiply and a shift (Granlund and Montgomery, "Division
+    by invariant integers using multiplication", PLDI 1994), where % runs a
+    hardware divide per entry: x - (x // p) * p took 1.2-3.3 ns per entry
+    against 4.0-5.6 ns for x % p (2^12 to 2^21 entries, numpy 2.4, one
+    thread of a 2-CPU VM)."""
+    p = np.uint64(p)
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 def factorize(n):
@@ -65,7 +83,7 @@ def power_table(base, count, modulus):
     while filled < count:
         step = np.uint64(pow(base, filled, modulus))
         take = min(filled, count - filled)
-        out[filled:filled + take] = (out[:take] * step) % np.uint64(modulus)
+        out[filled:filled + take] = mod(out[:take] * step, modulus)
         filled += take
     return out[:count]
 
@@ -138,12 +156,15 @@ def _transform(values, ctx, tables):
     for tw in tables:
         half = m // 2
         v = a.reshape(a.shape[:-1] + (-1, m))
-        lo = v[..., :half]
-        hi = (v[..., half:] * tw) % p
-        s = (lo + hi) % p
-        d = (lo + (p - hi)) % p
-        v[..., :half] = s
-        v[..., half:] = d
+        lo, up = v[..., :half], v[..., half:]
+        hi = mod(up * tw, p)
+        # lo - hi + p and lo + hi lie in [0, 2p) (uint64 wraps in between):
+        # one conditional subtraction reduces each, as min(x, x - p) does
+        np.subtract(lo, hi, out=up)
+        up += p
+        np.minimum(up, up - p, out=up)
+        lo += hi
+        np.minimum(lo, lo - p, out=lo)
         m *= 2
     return a
 
@@ -160,7 +181,8 @@ def ntt_forward(values, ctx):
 def ntt_inverse(values, ctx):
     """Exact inverse of ntt_forward."""
     out = _transform(values, ctx, ctx._tw_inv)
-    return (out * np.uint64(ctx.length_inv)) % np.uint64(ctx.modulus)
+    out *= np.uint64(ctx.length_inv)
+    return mod(out, ctx.modulus, out=out)
 
 
 def convolve_mod(a, b, modulus):
@@ -171,14 +193,14 @@ def convolve_mod(a, b, modulus):
     b = np.asarray(b, dtype=np.uint64)
     out_len = len(a) + len(b) - 1
     ctx = get_context(modulus, 1 << (out_len - 1).bit_length())
-    p = np.uint64(modulus)
     fa = np.zeros(ctx.length, dtype=np.uint64)
-    fa[:len(a)] = a % p
+    mod(a, modulus, out=fa[:len(a)])
     fb = np.zeros(ctx.length, dtype=np.uint64)
-    fb[:len(b)] = b % p
+    mod(b, modulus, out=fb[:len(b)])
     fa = ntt_forward(fa, ctx)
     fb = ntt_forward(fb, ctx)
-    return ntt_inverse((fa * fb) % p, ctx)[:out_len]
+    fa *= fb
+    return ntt_inverse(mod(fa, modulus, out=fa), ctx)[:out_len]
 
 
 def power_series_exp(f, n, modulus):
@@ -195,20 +217,22 @@ def power_series_exp(f, n, modulus):
     if n >= modulus:
         raise ValueError("series length must be below the modulus")
     p = np.uint64(modulus)
-    terms = f.shape[0]
+    terms, batch = f.shape[0], f.shape[1:]
+    f = f.reshape(terms, -1)  # one column per series
     # e_r = r * f_r drives the quotient-free recurrence r*c_r = sum c_(r-j) e_j
-    rr = np.arange(terms, dtype=np.uint64).reshape((terms,) + (1,) * (f.ndim - 1))
-    e = (f % p) * rr % p
-    c = np.zeros((n,) + f.shape[1:], dtype=np.uint64)
+    e = mod(mod(f, p) * np.arange(terms, dtype=np.uint64)[:, None], p)
+    c = np.zeros((n, f.shape[1]), dtype=np.uint64)
     c[0] = 1
     for r in range(1, n):
-        acc = np.zeros(f.shape[1:], dtype=np.uint64)
+        acc = np.zeros(f.shape[1], dtype=np.uint64)
         for j in range(1, min(r, terms - 1) + 1):
-            acc += (c[r - j] * e[j]) % p
+            acc += mod(c[r - j] * e[j], p)
             if j % 60 == 0:
-                acc %= p
-        c[r] = acc % p * np.uint64(pow(r, -1, modulus)) % p
-    return c
+                mod(acc, p, out=acc)
+        mod(acc, p, out=acc)
+        acc *= np.uint64(pow(r, -1, modulus))
+        mod(acc, p, out=c[r])
+    return c.reshape((n,) + batch)
 
 
 def crt_combine(residues, moduli):

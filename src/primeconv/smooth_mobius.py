@@ -53,7 +53,7 @@ def prime_cell_sums(primes, params, modulus, weight, r, length):
     out = np.zeros(length, dtype=np.uint64)
     np.add.at(out, cells[keep],
               weight.prime_power_values(primes[keep], r, modulus))
-    return out % np.uint64(modulus)
+    return modmath.mod(out, modulus, out=out)
 
 
 def make_partitions(primes, params):
@@ -200,8 +200,8 @@ def _multiply_product(acc, sub, params, ctx, weights):
         for row, h in zip(acc, hs):
             if h[t]:
                 # p + 1 - x is 1 - x mod p, and below 2^32 for x < p
-                row *= p + 1 - h[t] * col_roots % p
-                row %= p
+                row *= p + 1 - modmath.mod(h[t] * col_roots, modulus)
+                modmath.mod(row, modulus, out=row)
 
 
 def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
@@ -214,7 +214,6 @@ def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
     MultiplicativeWeight.power_key) costs one forward transform; the exponentials run over BLOCK columns of
     all the rows at a time."""
     modulus, length = ctx.modulus, ctx.length
-    p = np.uint64(modulus)
     # t1[slot[r - 1][i]] is the order-1 transform of h_i^r
     first = {}
     for w in weights:
@@ -240,6 +239,10 @@ def _multiply_truncated(acc, sub, r_used, params, ctx, weights):
         cols = np.arange(start, min(start + width, length))
         f = np.zeros((r_used + 1, len(weights), len(cols)), dtype=np.uint64)
         for r in range(1, r_used + 1):
-            f[r] = t1[slot[r - 1], cols * r % length] * np.uint64(neg_inv[r]) % p
-        c = modmath.power_series_exp(f, r_used + 1, modulus)
-        acc[:, cols] = acc[:, cols] * (c.sum(axis=0) % p) % p
+            f[r] = t1[slot[r - 1], cols * r & (length - 1)]
+            f[r] *= np.uint64(neg_inv[r])
+        modmath.mod(f, modulus, out=f)
+        c = modmath.power_series_exp(f, r_used + 1, modulus).sum(axis=0)
+        block = acc[:, start:start + len(cols)]
+        block *= modmath.mod(c, modulus, out=c)
+        modmath.mod(block, modulus, out=block)

@@ -101,7 +101,8 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
         return real(pool, phase, fn, items)
 
     monkeypatch.setattr(error_correction.JobPool, "map", record)
-    n = 200_000
+    # a window above error_correction._POOL_WINDOW, which a pool serves
+    n = 4_000_000
     flags = ["--chunk-size", "4096", "--threads", "2"]
     counting._char_pipeline_cache.clear()
     cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
@@ -114,12 +115,39 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
         assert code == 0
         obj = json.loads(out)
         assert obj["result"] == value, argv
+        assert obj["s"] >= error_correction._POOL_WINDOW
         # the moduli are the primes used: as few as the result's bound needs
         assert len(obj["moduli"]) == primes, argv
         assert seen[-1] == (obj["correction_chunks"], obj["correction_workers"])
         assert obj["correction_chunks"] > 2 and obj["correction_workers"] == 2
         code, out, _ = run_cli(capsys, *flags, *argv)
         assert code == 0 and out == f"{value}\n", argv
+
+
+def test_json_carries_the_pair_split(capsys):
+    # correction_split is the divisor split X and stride_cofactors the
+    # largest stride cofactor d1_max = (n + S) // (X + 1), below isqrt(n)
+    counting._char_pipeline_cache.clear()
+    for n, argv in ((200_000, ["pi"]), (10 ** 7, ["pi"]),
+                    (10 ** 7, ["sum-primes", "--power", "1"]),
+                    (10 ** 7, ["pi-mod", "--modulus", "4", "--residue", "1"])):
+        argv = argv[:1] + [str(n)] + argv[1:]
+        code, out, _ = run_cli(capsys, "--json", "--threads", "2", *argv)
+        assert code == 0, argv
+        obj = json.loads(out)
+        split, d1_max, window = (obj["correction_split"],
+                                 obj["stride_cofactors"], obj["s"])
+        assert d1_max == (n + window) // (split + 1) < math.isqrt(n), argv
+        assert split >= (n + window) // math.isqrt(n), argv
+        params = segmentation.make_params(
+            n, counting._pipeline_delta(n, counting.Config()), need_window=True)
+        plan = error_correction.correction_plan(params, math.isqrt(n))
+        assert (split, d1_max) == (plan.split, plan.cofactors), argv
+        # below _POOL_WINDOW the whole call runs on one worker
+        assert obj["correction_workers"] == (
+            1 if window < error_correction._POOL_WINDOW else 2), argv
+        code, out, _ = run_cli(capsys, "--threads", "2", *argv)
+        assert code == 0 and out == f"{obj['result']}\n", argv
 
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "pi")[0] == 2

@@ -66,6 +66,58 @@ def test_pairs_short_window_cofactor_split(n, den):
                                moduli=[P1, P2]) == (expect % P1, expect % P2)
 
 
+@pytest.mark.parametrize("n, scale", [
+    (3_000, 1), (10_007, 1), (20_000, 1), (49_999, 1), (80_000, 1),
+    (120_000, 1), (200_000, 1), (300_000, 1), (150_000, Fraction(1, 4)),
+    (99_613, Fraction(3, 2))])
+def test_pairs_match_oracle_at_the_pipeline_precision(n, scale):
+    # the pipeline's own delta (and one fine and one coarse --delta-scale),
+    # where the cost-balanced split puts X below S at the larger n
+    delta = counting._pipeline_delta(n, counting.Config(delta_scale=scale))
+    params = seg.make_params(n, delta, need_window=True)
+    bound = math.isqrt(n)
+    plan = ec.correction_plan(params, bound)
+    assert plan.cofactors < bound
+    assert ec.pairs_correction(params, bound) == [
+        oracles.error_term_naive_pairs(n, delta)], (n, scale, plan)
+
+
+def test_plan_keeps_cofactors_small_and_codes_int16():
+    # at the default precision over the supported range: every stride
+    # cofactor stays below the bound, X reaches (n + S) // isqrt(n), and the
+    # window codes fit int16
+    for n in [10 ** k for k in range(5, 12)] + [3 * 10 ** k for k in range(5, 11)]:
+        params = seg.make_params(
+            n, counting._pipeline_delta(n, counting.Config()), need_window=True)
+        bound = math.isqrt(n)
+        plan = ec.correction_plan(params, bound)
+        window = params.window
+        assert plan.split >= (n + window) // bound, n
+        assert plan.cofactors == (n + window) // (plan.split + 1) < bound, n
+        primes = sieve.primes_up_to(bound)
+        table, _, info = ec._stride_cofactors(
+            params, primes, sieve.prime_cell_indices(primes, params), plan, 1)
+        assert table.dtype == np.int16, (n, table.shape)
+        assert [d1 for d1, *_ in info] == sorted(d1 for d1, *_ in info)
+
+
+def test_pair_split_balances_the_cost_model():
+    # X minimises a X + b ln((n + S) / X) + c / X over the allowed range,
+    # with the constants of _pair_split
+    n, window, chunks = 10 ** 10, 27_669_229, 8
+    x = ec._pair_split(n, window, 10 ** 5, chunks)
+
+    def cost(x):
+        return (ec._SCREEN_NS * x
+                + ec._GATHER_NS * window * math.log((n + window) / x)
+                + ec._STRIDE_NS * chunks * (n + window) / x)
+
+    assert cost(x) <= min(cost(x * 0.9), cost(x * 1.1))
+    assert window // 8 < x < window
+    # a window much shorter than sqrt(n) keeps the bound's floor
+    assert ec._pair_split(10 ** 10, 1000, 10 ** 5, 1) >= (10 ** 10 + 1000) // 10 ** 5
+
+
 def test_excess_identity_of_the_stride_pass():
     # m/d1 is square-free iff the excess e(m) = prod p^(a-1) divides d1, and
     # then mu(m/d1) = sign(m) * mu(d1/e(m)), sign(m) = (-1)^omega(m)
@@ -103,15 +155,15 @@ def test_pair_table_reads_mu_of_the_cofactor():
     table = ec._PairTable(mu[1:d1_max + 1], d1_max, band)
     code = table.codes(smooth, kh - (top + lows), sign, excess)
     assert code.dtype == np.int32
-    lookup = np.zeros(table.shape, dtype=np.int8)
+    lookup = np.zeros(table.size, dtype=np.int8)
     rng = random.Random(5)
     for d1 in list(range(1, 60)) + rng.sample(range(60, d1_max + 1), 200):
         slack = rng.randrange(lows, lows + band)
-        rows, block = table.rows(d1, slack - lows)
-        lookup[rows] = block
+        cells, signs = table.rows(d1, slack - lows)
+        lookup[cells] = signs
         first = (lo // d1 + 1) * d1
         got = lookup.take(code[first - (lo + 1)::d1])
-        lookup[rows] = 0
+        lookup[cells] = 0
         m = np.arange(first, hi + 1, d1)
         i = m - (lo + 1)
         live = smooth[i] & (kh[i] - top <= slack)
@@ -120,15 +172,18 @@ def test_pair_table_reads_mu_of_the_cofactor():
 
 
 def test_pairs_excess_above_every_cofactor():
-    # d1_max = 58 here, and the window holds m = 100,224 = 58 * 1728 =
-    # 2^7 * 3^3 * 29, whose excess 2^6 * 3^2 = 576 divides no d1: saturated
-    # at d1_max rather than d1_max + 1, it would pass (58, 1728) as a pair
+    # d1_max = 21 here, and the window holds m = 99,792 = 21 * 4752 =
+    # 2^4 * 3^4 * 7 * 11, whose excess 2^3 * 3^3 = 216 divides no d1 and
+    # whose cell excess kh(m) - top = -3 passes the cell test of d1 = 21
+    # (slack -1): saturated at d1_max rather than d1_max + 1, its excess
+    # would pass (21, 4752) as a pair
     n, delta = 99_613, Fraction(1, 299)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    cap_x = ec.correction_plan(params, bound)[0]
-    assert (n + params.window) // (cap_x + 1) == 58 and 1728 > cap_x
-    assert n < 100_224 <= n + params.window
+    plan = ec.correction_plan(params, bound)
+    assert plan.cofactors == (n + params.window) // (plan.split + 1) == 21
+    assert 4752 > plan.split
+    assert n < 99_792 <= n + params.window
     assert ec.pairs_correction(params, bound) == [
         oracles.error_term_naive_pairs(n, delta)]
 
@@ -221,13 +276,13 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
     params = seg.make_params(
         n, counting._pipeline_delta(n, counting.Config()), need_window=True)
     bound = math.isqrt(n)
-    # 16 default chunks of 3,458,654 entries: the budget admits four workers
-    # however many threads are asked for; 54 chunks of 2^20 admit sixteen
-    for chunk, threads, jobs, workers in ((None, 64, 16, 4), (None, 2, 16, 2),
-                                          (1 << 20, 64, 54, 16)):
+    # 11 default chunks of 3,458,654 entries: the budget admits four workers
+    # however many threads are asked for; 37 chunks of 2^20 admit sixteen
+    for chunk, threads, jobs, workers in ((None, 64, 11, 4), (None, 2, 11, 2),
+                                          (1 << 20, 64, 37, 16)):
         seen.clear()
-        assert ec.correction_plan(params, bound, chunk, threads)[2:] == (
-            jobs, workers)
+        plan = ec.correction_plan(params, bound, chunk, threads)
+        assert (plan.chunks, plan.workers) == (jobs, workers)
         with ec.JobPool(workers) as pool:
             assert ec.pairs_correction(params, bound, chunk_size=chunk,
                                        pool=pool) == [0]
@@ -239,21 +294,32 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
 
 
 
+def _chunks_and_workers(*args):
+    plan = ec.correction_plan(*args)
+    return plan.chunks, plan.workers
+
+
 def test_pool_runs_transforms_beside_a_short_correction():
     # two one-chunk ranges and the transform jobs queued ahead of them: the
-    # pool gives each job a worker, up to the threads asked for
-    n, delta = 200_000, Fraction(1, 200)
+    # pool gives each job a worker, up to the threads asked for, once the
+    # window reaches _POOL_WINDOW
+    n, delta = 6 * 10 ** 6, Fraction(1, 200)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    cap_x, chunk, chunks, _ = ec.correction_plan(params, bound)
-    assert cap_x <= chunk and chunks == 2
-    assert ec.correction_plan(params, bound, None, 2, 1)[2:] == (2, 2)
-    assert ec.correction_plan(params, bound, None, 8, 3)[2:] == (2, 5)
+    plan = ec.correction_plan(params, bound)
+    assert params.window >= ec._POOL_WINDOW
+    assert plan.split <= plan.chunk and plan.chunks == 2
+    assert _chunks_and_workers(params, bound, None, 2, 1) == (2, 2)
+    assert _chunks_and_workers(params, bound, None, 8, 3) == (2, 5)
+    # a shorter window runs everything on one worker
+    short = seg.make_params(200_000, delta, need_window=True)
+    assert short.window < ec._POOL_WINDOW
+    assert _chunks_and_workers(short, 447, None, 8, 3) == (2, 1)
     # the memory budget still caps a pool that holds transforms: four
     # workers at the default chunks of 10^10
     big = seg.make_params(10 ** 10, counting._pipeline_delta(
         10 ** 10, counting.Config()), need_window=True)
-    assert ec.correction_plan(big, 10 ** 5, None, 64, 2)[2:] == (16, 4)
+    assert _chunks_and_workers(big, 10 ** 5, None, 64, 2) == (11, 4)
     # a shared pool returns each job's own value, whatever runs beside it,
     # and times the phases apart
     expect = ec.pairs_correction(params, bound)

@@ -65,6 +65,24 @@ def test_factorize_and_root_search_off_the_pool():
                    for q, _ in oracles.factor_naive(p - 1))
 
 
+def test_mod_matches_remainder():
+    # x - (x // p) * p is exact for every uint64 x, the largest included
+    rng = np.random.default_rng(16)
+    samples = rng.integers(0, 1 << 64, size=10 ** 5, dtype=np.uint64,
+                           endpoint=False)
+    for p in modmath.NTT_PRIMES:
+        edges = np.array([0, 1, p - 1, (p - 1) ** 2, (1 << 64) - 1],
+                         dtype=np.uint64)
+        for x in (edges, samples, samples.reshape(100, -1)):
+            expect = x % np.uint64(p)
+            got = modmath.mod(x, p)
+            assert got.dtype == np.uint64 and np.array_equal(got, expect), p
+            y = x.copy()
+            assert modmath.mod(y, p, out=y) is y and np.array_equal(y, expect)
+        assert modmath.mod(edges, p).tolist() == [0, 1, p - 1, 1,
+                                                  ((1 << 64) - 1) % p]
+
+
 def test_context_invariants():
     ctx = modmath.get_context(modmath.NTT_PRIMES[0], 64)
     assert pow(ctx.root, 64, ctx.modulus) == 1
