@@ -52,8 +52,6 @@ def _build_parser():
                         help="worker threads (default: available parallelism)")
     parser.add_argument("--cutoff", type=int, default=None,
                         help="below this bound use the direct sieve")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="sieve chunk size (default: adaptive)")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of the bare result")
     parser.add_argument("--verify", action="store_true",
@@ -99,9 +97,6 @@ def _config_from(args):
     cutoff = args.cutoff if args.cutoff is not None else _env("CUTOFF")
     if cutoff is not None:
         kwargs["cutoff"] = int(cutoff)
-    chunk = args.chunk_size if args.chunk_size is not None else _env("CHUNK_SIZE")
-    if chunk is not None:
-        kwargs["chunk_size"] = int(chunk)
     config = counting.Config(**kwargs)
     counting.check_config(config)
     return config

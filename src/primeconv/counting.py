@@ -8,9 +8,13 @@ residues through the CRT. The transforms of each NTT prime and the
 correction's chunks run as one job list on one worker pool. Every weight is
 a MultiplicativeWeight: n^ell (the unit weight is power(0)) or a Dirichlet
 character. The NTT primes are as few as a proven bound on the result
-allows (see _result_bound and _select_moduli). Small inputs fall back to the
-direct sieves in oracles, which are exact by construction; inputs above
-MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are refused.
+allows (see _result_bound and _select_moduli). The correction window comes
+from the cell scan of segmentation.error_window_size alone, which puts no
+bound on delta * log2(n): every delta that the boundary table, the
+transforms and the screen accept gives an exact value. Inputs below
+Config.cutoff fall back to the direct sieves in oracles, which are exact by
+construction; inputs above MAX_N, or character moduli above
+MAX_CHARACTER_MODULUS, are refused.
 """
 
 import math
@@ -38,16 +42,16 @@ class Config:
     """Run-time settings shared by every public function.
 
     delta_scale scales the segmentation precision; inputs below cutoff go to
-    the direct sieves in oracles; chunk_size (None = adaptive) shapes the
-    correction's jobs, and threads (0 = available parallelism) caps the
-    pool that runs them beside the transforms. No value depends on
-    delta_scale, chunk_size or threads. The NTT primes are not a setting:
-    each call takes the fewest pool primes, in pool order, whose product
-    covers its result's proven range (see _select_moduli).
+    the direct sieves in oracles; threads (0 = available parallelism) caps
+    the pool that runs the correction's chunk jobs beside the transforms.
+    No value depends on delta_scale or threads. Neither the NTT primes nor
+    the chunk length is a setting: each call takes the fewest pool primes,
+    in pool order, whose product covers its result's proven range (see
+    _select_moduli), and chunks sized from its window (see
+    error_correction.correction_plan).
     """
     delta_scale: Fraction = Fraction(1)
     cutoff: int = 100_000
-    chunk_size: int | None = None
     threads: int = 0
 
     def resolved_threads(self):
@@ -271,8 +275,6 @@ def check_config(config):
         raise ValueError("threads must be non-negative")
     if config.cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    if (config.chunk_size or 0) < 0:
-        raise ValueError("chunk size must be non-negative")
     if Fraction(config.delta_scale) <= 0:
         raise ValueError("delta scale must be positive")
 
@@ -293,7 +295,8 @@ def check_arguments(function, n, config, *, power=1, modulus=1, residue=0):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if modulus > MAX_CHARACTER_MODULUS:
-            raise ValueError(f"modulus {modulus} above configured bound")
+            raise ValueError(f"modulus {modulus} exceeds "
+                             f"MAX_CHARACTER_MODULUS = {MAX_CHARACTER_MODULUS}")
         if math.gcd(modulus, residue) != 1:
             raise ValueError("residue must be coprime to the modulus")
 
@@ -328,8 +331,7 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     timings["primes"] = time.perf_counter() - t0
     celltops = _celltops_desc(params)
     plan = error_correction.correction_plan(
-        params, bound, config.chunk_size, config.resolved_threads(),
-        len(moduli))
+        params, bound, config.resolved_threads(), len(moduli))
 
     def one_modulus(p):
         mob = smooth_mobius.smooth_mobius_cells(primes, params, p,
@@ -340,8 +342,7 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     with error_correction.JobPool(plan.workers) as pool:
         approx = [pool.submit("convolution", one_modulus, p) for p in moduli]
         corr = error_correction.pairs_correction(
-            params, bound, moduli=moduli, chunk_size=config.chunk_size,
-            pool=pool, **kwargs)
+            params, bound, moduli=moduli, pool=pool, **kwargs)
         approx = [job.result() for job in approx]
     # summed job durations: with several workers the phases overlap
     for phase in ("convolution", "correction"):
@@ -351,6 +352,15 @@ def _pipeline(n, config, weights, moduli, **kwargs):
               "correction_split": plan.split,
               "stride_cofactors": plan.cofactors}
     return approx, corr, params, primes, timings, counts
+
+
+def _sieve_result(function, n, oracle, *args, extra=None):
+    """The bundle of oracle(n, *args), a direct sieve of oracles, for an
+    input below the cutoff."""
+    t0 = time.perf_counter()
+    value = oracle(n, *args)
+    return ResultBundle(function, n, value, None, None, None,
+                        {"sieve": time.perf_counter() - t0}, extra or {})
 
 
 def _prime_sum_result(function, n, weight, config, extra):
@@ -378,10 +388,7 @@ def count_primes_result(n, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("pi", n, config)
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.pi_naive(n)
-        return ResultBundle("pi", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0})
+        return _sieve_result("pi", n, oracles.pi_naive)
     return _prime_sum_result("pi", n, MultiplicativeWeight.power(0), config, {})
 
 
@@ -395,11 +402,8 @@ def sum_over_primes_result(n, power=1, config=None):
     check_arguments("sum-primes", n, config, power=power)
     weight = MultiplicativeWeight.power(power)
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.sum_primes_naive(n, power)
-        return ResultBundle("sum-primes", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0},
-                            {"power": power})
+        return _sieve_result("sum-primes", n, oracles.sum_primes_naive, power,
+                             extra={"power": power})
     return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
 
 
@@ -451,17 +455,15 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         return bundle
     residue %= modulus
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.pi_mod_naive(n, modulus, residue)
-        return ResultBundle("pi-mod", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0},
-                            {"modulus": modulus, "residue": residue})
+        return _sieve_result("pi-mod", n, oracles.pi_mod_naive, modulus,
+                             residue,
+                             extra={"modulus": modulus, "residue": residue})
     phi_m = math.prod((q - 1) * q ** (e - 1)
                       for q, e in modmath.factorize(modulus))
     moduli = _select_moduli(_result_bound("pi-mod", n), phi_m)
     # the character transforms and the per-class correction depend on no
-    # residue, cutoff, chunk size or thread count; cache them so that every
-    # residue of one modulus shares one transform run and one correction pass
+    # residue, cutoff or thread count; cache them so that every residue of
+    # one modulus shares one transform run and one correction pass
     key = (n, modulus, moduli, Fraction(config.delta_scale))
     cached = _char_pipeline_cache.get(key)
     if cached is None:
@@ -507,14 +509,8 @@ def mertens_result(n, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("mertens", n, config)
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.mertens_naive(n)
-        return ResultBundle("mertens", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0})
-    trunc = math.isqrt(n)
-    if trunc * trunc < n:
-        trunc += 1
-    values = mertens_multi([n], trunc, config)
+        return _sieve_result("mertens", n, oracles.mertens_naive)
+    values = mertens_multi([n], math.isqrt(n - 1) + 1, config)
     bundle = values[0]
     bundle.function = "mertens"
     return bundle
@@ -591,15 +587,29 @@ def mertens_multi(ns, trunc, config=None, delta=None):
     return [results[n_i] for n_i in ns]
 
 
+def _weighted_mertens(weights, mu, limit, config, delta=None):
+    """(sum of w * M(x) over the thresholds x -> w of `weights`, the NTT
+    primes used). Thresholds up to `limit` read the prefix sums of the
+    MuTable mu; the rest share one mertens_multi call at the smallest
+    truncation T with every threshold <= T^2 (its triple correction walks
+    about T^2 pairs), whose primes are those of the largest threshold (None
+    without the call)."""
+    total = sum(mu.prefix_sum(x) * w for x, w in weights.items() if x <= limit)
+    big = sorted(x for x in weights if x > limit)
+    if not big:
+        return total, None
+    bundles = mertens_multi(big, math.isqrt(big[-1] - 1) + 1, config,
+                            delta=delta)
+    total += sum(b.value * weights[b.n] for b in bundles)
+    return total, bundles[-1].moduli
+
+
 def count_squarefree_result(n, config=None):
     """Exact count of square-free integers <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("squarefree", n, config)
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.sqfree_naive(n)
-        return ResultBundle("squarefree", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0})
+        return _sieve_result("squarefree", n, oracles.sqfree_naive)
     timings = {}
     t0 = time.perf_counter()
     d = _icbrt(n)
@@ -610,29 +620,19 @@ def count_squarefree_result(n, config=None):
     ks = np.arange(1, d + 1, dtype=np.int64)
     quots = n // (ks * ks)
     total = int(np.sum(mu.values[1:d + 1].astype(np.int64) * quots))
-    m_d = mu.prefix_sum(d)
     t_max = n // ((d + 1) * (d + 1))
-    pending = {}
+    total -= mu.prefix_sum(d) * t_max
+    counts = {}
     for t in range(1, t_max + 1):
         th = math.isqrt(n // t)
-        if th <= limit:
-            total += mu.prefix_sum(th) - m_d
-        else:
-            pending[th] = pending.get(th, 0) + 1
+        counts[th] = counts.get(th, 0) + 1
     timings["thresholds"] = time.perf_counter() - t0
-    moduli = None
-    if pending:
-        t0 = time.perf_counter()
-        delta = Fraction(1, max(d, 8 * max(2, (n - 1).bit_length())))
-        # the smallest truncation with every threshold <= trunc^2: the
-        # triple correction walks about trunc^2 pairs
-        trunc = math.isqrt(max(pending)) + 1
-        bundles = mertens_multi(sorted(pending), trunc, config, delta=delta)
-        for bundle in bundles:
-            total += (bundle.value - m_d) * pending[bundle.n]
-        moduli = bundles[-1].moduli  # those of the largest threshold
-        timings["mertens"] = time.perf_counter() - t0
-    return ResultBundle("squarefree", n, total, None, None, moduli, timings)
+    t0 = time.perf_counter()
+    delta = Fraction(1, max(d, 8 * max(2, (n - 1).bit_length())))
+    part, moduli = _weighted_mertens(counts, mu, limit, config, delta)
+    timings["mertens"] = time.perf_counter() - t0
+    return ResultBundle("squarefree", n, total + part, None, None, moduli,
+                        timings)
 
 
 def count_squarefree(n, config=None):
@@ -653,40 +653,24 @@ def totient_sum_result(n, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("totient-sum", n, config)
     if n < config.cutoff:
-        t0 = time.perf_counter()
-        value = oracles.totient_sum_naive(n)
-        return ResultBundle("totient-sum", n, value, None, None, None,
-                            {"sieve": time.perf_counter() - t0})
+        return _sieve_result("totient-sum", n, oracles.totient_sum_naive)
     timings = {}
     t0 = time.perf_counter()
     limit = min(n, max(config.cutoff, math.isqrt(n)))
     mu = sieve.mu_up_to(limit)
     timings["sieve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    total = 0
-    pending = {}
+    weights = {}
     k = 1
     while k <= n:
         q = n // k
         k2 = n // q
-        weight = (k + k2) * (k2 - k + 1) // 2
-        if q <= limit:
-            total += mu.prefix_sum(q) * weight
-        else:
-            pending[q] = weight
+        weights[q] = (k + k2) * (k2 - k + 1) // 2
         k = k2 + 1
     timings["blocks"] = time.perf_counter() - t0
-    moduli = None
-    if pending:
-        t0 = time.perf_counter()
-        trunc = math.isqrt(n)
-        if trunc * trunc < n:
-            trunc += 1
-        bundles = mertens_multi(sorted(pending), trunc, config)
-        for bundle in bundles:
-            total += bundle.value * pending[bundle.n]
-        moduli = bundles[-1].moduli  # those of the largest threshold
-        timings["mertens"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    total, moduli = _weighted_mertens(weights, mu, limit, config)
+    timings["mertens"] = time.perf_counter() - t0
     return ResultBundle("totient-sum", n, total, None, None, moduli, timings)
 
 

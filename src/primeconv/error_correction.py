@@ -78,9 +78,7 @@ _MAX_COFACTORS = (1 << 15) // 16 - 2
 _POOL_WINDOW = 150_000
 
 
-def _auto_chunk(total, chunk_size):
-    if chunk_size:
-        return chunk_size
+def _auto_chunk(total):
     # capped: at 2^22 entries one job peaks near 90 MB (unit weight), and
     # longer chunks are slower, not faster: pairs_correction(10^11) took
     # 14.0 s with this cap (two workers) and 21.1 s with S/8 = 11.25M-entry
@@ -118,7 +116,7 @@ class CorrectionPlan(NamedTuple):
     workers: int
 
 
-def correction_plan(params, bound, chunk_size=None, threads=1, transforms=0):
+def correction_plan(params, bound, threads=1, transforms=0):
     """The CorrectionPlan of pairs_correction over params.window = S, for a
     pool that runs its chunk jobs after `transforms` other jobs (a
     pipeline's transforms, queued first). X comes from _pair_split. Workers
@@ -127,7 +125,7 @@ def correction_plan(params, bound, chunk_size=None, threads=1, transforms=0):
     at most smooth_mobius._MEMORY_BUDGET. A window shorter than
     _POOL_WINDOW gets at most one worker. No jobs, no workers."""
     n, window = params.n, params.window
-    chunk = _auto_chunk(window, chunk_size)
+    chunk = _auto_chunk(window)
     window_chunks = -(-window // chunk)
     split = _pair_split(n, window, bound, window_chunks)
     chunks = -(-split // chunk) + window_chunks if window > 0 else 0
@@ -182,7 +180,7 @@ class JobPool:
 
 
 def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
-                     chunk_size=None, pool=None):
+                     pool=None):
     """Divisor-major evaluation of the pair error sum.
 
     Splits on the divisor value at X (correction_plan, which weighs the
@@ -211,7 +209,7 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
     window = params.window
     unit = weight is None or weight.is_unit
     width = modulus if unit else len(moduli)
-    plan = correction_plan(params, bound, chunk_size)
+    plan = correction_plan(params, bound)
     if not plan.chunks:
         return [0] * width if unit else (0,) * width
     top = params.top_cell

@@ -151,8 +151,9 @@ class SegParams:
     """Segmentation geometry for one target bound.
 
     n: target bound; delta: exact rational cell width in log2 scale;
-    top_cell: cell_index(n); window: pairs error-window length S from
-    error_window_size, or None when the window was not requested.
+    top_cell: cell_index(n); window: pairs error-window length S from the
+    primorial cell scan of error_window_size, or None when the window was
+    not requested.
     Boundaries cover every integer up to at least 2n + 2.
     """
     n: int
@@ -182,46 +183,6 @@ class SegParams:
         return _exact_ceil_pow2(k * self.delta)
 
 
-def window_valid(n, delta):
-    """True when delta * log2(n) < 1/4 (decided exactly at the boundary's scale)."""
-    num, den = delta.numerator, delta.denominator
-    bits = 128
-    l_lo, l_hi = _log2_bounds(n, bits)
-    if 4 * num * l_hi < den << bits:
-        return True
-    return False
-
-
-def window_size(n, delta):
-    """The paper's closed-form window n * (2^(delta*(2+log2 n)/(1-delta)) - 1),
-    exact from the bound and precision alone; error_window_size's scan limit."""
-    delta = Fraction(delta)
-    if not window_valid(n, delta):
-        raise ValueError("error window needs delta * log2(n) < 1/4")
-    num, den = delta.numerator, delta.denominator
-    bits = 192
-    for _ in range(8):
-        l_lo, l_hi = _log2_bounds(n, bits)
-        # n * (2^(delta*(2+log2 n)/(1-delta)) - 1) = 2^e - n
-        # with e = (log2(n) + 2*delta) / (1 - delta)
-        e_lo = Fraction(l_lo * den + (2 * num << bits), (den - num) << bits)
-        e_hi = Fraction(l_hi * den + (2 * num << bits), (den - num) << bits)
-        v_lo, _ = _pow2_bounds(e_lo, bits)
-        _, v_hi = _pow2_bounds(e_hi, bits)
-        s_lo = -(-v_lo >> bits) - n
-        s_hi = -(-v_hi >> bits) - n
-        if s_lo == s_hi:
-            if s_lo > 1:
-                return s_lo
-            # n*(2^x - 1) < 1 leaves no integer in the window at all
-            if s_lo <= 0 or v_hi < (n + 1) << bits:
-                return 0
-            if v_lo >= (n + 1) << bits:
-                return 1
-        bits *= 2
-    raise RuntimeError("cannot resolve the window size exactly")
-
-
 # the first 16 primes: their product exceeds 2^64, above every cell top
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -242,21 +203,20 @@ def error_window_size(params):
 
     Safe over-approximation: every product d1*d2 > n whose cell_index(d1)
     plus the additive cell index of d2 (the sum of e * cell_index(p) over
-    its prime powers p^e) is at most top_cell lands at or below n + S. The
-    closed form window_size(n, delta) bounds a scan over the cells past
-    top_cell: a product in cell k needs a square-free d2 with at least
+    its prime powers p^e) is at most top_cell lands at or below n + S. A
+    product in cell k > top_cell needs a square-free d2 with at least
     k - 1 - top_cell prime factors, and d2 <= cell_top(k) caps that count by
-    the largest primorial below it, so S ends at the last cell that passes.
+    the largest primorial below it. The scan over the cells past top_cell
+    stops at the first cell that fails this test, and S ends at the cell
+    before it. No later cell passes again: with delta <= 1, cell_top + 1 at
+    most doubles from one cell to the next, so the primorial count rises by
+    at most one per cell while k rises by one.
     """
-    full = window_size(params.n, params.delta)
     top = params.top_cell
-    k_last = top  # last cell whose pairs cannot all be excluded
     k = top + 1
-    while params.cell_floor(k) <= params.n + full:
-        if k - 1 - _max_squarefree_omega(params.cell_top(k)) <= top:
-            k_last = k
+    while k - 1 - _max_squarefree_omega(params.cell_top(k)) <= top:
         k += 1
-    return min(full, max(0, params.cell_top(k_last) - params.n))
+    return params.cell_top(k - 1) - params.n
 
 
 def make_params(n, delta, *, need_window=False):

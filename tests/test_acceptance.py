@@ -243,17 +243,18 @@ def test_criterion_5_identity_suite(capsys):
                 band_params[key], n=n, window=None,
                 top_cell=seg.cell_index(n, band_params[key]))
             top = params.top_cell
-            window = seg.window_size(n, delta)
             cells = [seg.cell_index(p, params) for p in primes]
             muhat = _enum_mobius_cells(primes, cells, top)
             tops = (params.bounds_np[1:top + 2][::-1].astype(np.int64) - 1)
             segmented = int(np.sum(muhat * tops))
+            # the window (n, 2n] lies inside the band's boundary table and
+            # holds the scan's window
             (corr,) = ec.pairs_correction(
-                dataclasses.replace(params, window=window), b)
+                dataclasses.replace(params, window=n), b)
             if segmented - dirichlet != corr:
                 bad.append(("error-term", n, j))
             shrunk = seg.error_window_size(params)
-            if ec.pairs_correction(
+            if shrunk > n or ec.pairs_correction(
                     dataclasses.replace(params, window=shrunk), b) != [corr]:
                 bad.append(("shrunk-window", n, j))
         if bad:

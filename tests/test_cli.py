@@ -101,9 +101,10 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
         return real(pool, phase, fn, items)
 
     monkeypatch.setattr(error_correction.JobPool, "map", record)
+    monkeypatch.setattr(error_correction, "_auto_chunk", lambda total: 4096)
     # a window above error_correction._POOL_WINDOW, which a pool serves
     n = 4_000_000
-    flags = ["--chunk-size", "4096", "--threads", "2"]
+    flags = ["--threads", "2"]
     counting._char_pipeline_cache.clear()
     cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
              (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1), 2),
@@ -154,10 +155,11 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nonsense", "5")[0] == 2
     assert run_cli(capsys, "pi", "-5")[0] == 2
     assert run_cli(capsys, "pi-mod", "100", "--modulus", "4", "--residue", "2")[0] == 2
-    # above the largest character modulus
-    code, out, _ = run_cli(capsys, "pi-mod", "1000", "--modulus", "10001",
-                           "--residue", "1")
+    # above the largest character modulus, a constant
+    code, out, err = run_cli(capsys, "pi-mod", "1000", "--modulus", "10001",
+                             "--residue", "1")
     assert code == 2 and out == ""
+    assert "modulus 10001 exceeds MAX_CHARACTER_MODULUS = 10000" in err
     # a factor below 2 or a start below 1 never grows past --to
     assert run_cli(capsys, "bench", "--from", "1000", "--to", "2000",
                    "--factor", "1")[0] == 2
@@ -171,24 +173,29 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and out == "", argv
 
 
-def test_negative_chunk_size_exits_2(capsys, monkeypatch):
-    # n below the cutoff: the check comes before the sieve fallback
-    code, _, err = run_cli(capsys, "--chunk-size", "-3", "pi", "1000")
-    assert code == 2 and "chunk size" in err
-    monkeypatch.setenv("PRIMECONV_CHUNK_SIZE", "-3")
-    code, _, err = run_cli(capsys, "mertens", "1000")
-    assert code == 2 and "chunk size" in err
-    monkeypatch.delenv("PRIMECONV_CHUNK_SIZE")
-    # the other fields go through the same check as the library's
+def test_invalid_config_fields_exit_2(capsys, monkeypatch):
+    # n below the cutoff: the check comes before the sieve fallback, and
+    # each field goes through the same check as the library's
     for flag, value, field in (("--threads", "-2", "threads"),
                                ("--cutoff", "-1", "cutoff"),
                                ("--delta-scale", "0", "delta scale"),
                                ("--delta-scale", "1/0", "delta scale")):
         code, _, err = run_cli(capsys, flag, value, "pi", "1000")
         assert code == 2 and field in err, (flag, value)
+    monkeypatch.setenv("PRIMECONV_THREADS", "-2")
+    code, _, err = run_cli(capsys, "mertens", "1000")
+    assert code == 2 and "threads" in err
+    monkeypatch.delenv("PRIMECONV_THREADS")
     monkeypatch.setenv("PRIMECONV_DELTA_SCALE", "1/0")
     code, _, err = run_cli(capsys, "pi", "1000")
     assert code == 2 and "delta scale" in err
+
+
+def test_coarse_delta_scale_answers(capsys):
+    # the correction window comes from the cell scan, which needs no bound
+    # on delta * log2(n)
+    code, out, err = run_cli(capsys, "--delta-scale", "2", "pi", "1000000")
+    assert (code, out, err) == (0, "78498\n", "")
 
 
 def test_range_errors_exit_3(capsys):

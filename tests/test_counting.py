@@ -230,28 +230,67 @@ def test_fine_delta_scale_short_window_is_exact():
 
 
 def test_shrunk_window_matches_closed_form_window():
-    # the primorial-bounded window and the closed form give one correction
+    # the primorial-bounded window and the wider window (n, 2n], inside the
+    # boundary table, give one correction
     for n in (200_000, 10 ** 7):
         delta = counting._pipeline_delta(n, counting.Config())
         params = segmentation.make_params(n, delta, need_window=True)
-        full = segmentation.window_size(n, delta)
-        assert params.window < full
+        assert params.window < n
         bound = math.isqrt(n)
         assert (error_correction.pairs_correction(params, bound)
                 == error_correction.pairs_correction(
-                    dataclasses.replace(params, window=full), bound)), n
+                    dataclasses.replace(params, window=n), bound)), n
 
 
 def test_engine_window_lengths():
-    for n, expect in ((10 ** 8, 1_859_138), (10 ** 9, 6_722_164),
-                      (10 ** 10, 27_669_229)):
-        delta = counting._pipeline_delta(n, counting.Config())
+    # the default precision, and two other delta scales
+    for n, scale, expect in ((10 ** 8, 1, 1_859_138), (10 ** 9, 1, 6_722_164),
+                             (10 ** 10, 1, 27_669_229),
+                             (10 ** 11, 1, 90_019_696),
+                             (10 ** 8, 2, 3_752_841),
+                             (10 ** 9, Fraction(1, 2), 3_428_900)):
+        delta = counting._pipeline_delta(
+            n, counting.Config(delta_scale=scale))
         params = segmentation.make_params(n, delta, need_window=True)
-        assert params.window == expect, n
-        assert params.window <= segmentation.window_size(n, delta)
+        assert params.window == expect, (n, scale)
 
 
-def test_cache_hit_reports_only_its_own_phases():
+def test_coarse_delta_scale_is_exact():
+    # at delta scale 2 the window comes from the cell scan alone
+    cfg = counting.Config(delta_scale=2, cutoff=1000)
+    assert primeconv.count_primes(10 ** 6, cfg) == 78498
+    for n in (10 ** 6, 10 ** 7):
+        assert primeconv.count_primes(n, cfg) == oracles.pi_naive(n), n
+        assert (primeconv.sum_over_primes(n, 1, cfg)
+                == oracles.sum_primes_naive(n, 1)), n
+        assert (primeconv.count_primes_mod(n, 4, 3, cfg)
+                == oracles.pi_mod_naive(n, 4, 3)), n
+
+
+def test_coarse_delta_grid_is_exact_or_refused():
+    # a coarse delta either answers exactly or is refused with ValueError
+    # by a check the mathematics needs (the screen's gap condition, delta <=
+    # 1/2 for the transforms, delta <= 1 for the segmentation); none of
+    # these calls returns a wrong value
+    calls = ((primeconv.count_primes, (), oracles.pi_naive),
+             (primeconv.sum_over_primes, (1,), oracles.sum_primes_naive),
+             (primeconv.count_primes_mod, (4, 3), oracles.pi_mod_naive))
+    exact = refused = 0
+    for n in (9, 100, 5000, 60_000, 400_000):
+        for scale in (Fraction(3, 2), 3, 8, 64):
+            cfg = counting.Config(delta_scale=scale, cutoff=0)
+            for fn, args, oracle in calls:
+                try:
+                    got = fn(n, *args, cfg)
+                except ValueError:
+                    refused += 1
+                    continue
+                assert got == oracle(n, *args), (fn.__name__, n, scale)
+                exact += 1
+    assert exact >= refused > 0
+
+
+def test_cache_hit_reports_only_its_own_phases(monkeypatch):
     counting._char_pipeline_cache.clear()
     n = 2 * 10 ** 5 + 3
     first = counting.count_primes_mod_result(n, 4, 1)
@@ -259,11 +298,12 @@ def test_cache_hit_reports_only_its_own_phases():
     assert {"convolution", "correction"} <= set(first.timings)
     assert set(second.timings) == {"combine"}
     assert first.value + second.value + 1 == primeconv.count_primes(n)
-    # the cached transforms and correction read neither the chunk size nor
-    # the cutoff; a hit reports the chunks and workers of the pass that
+    # the cached transforms and correction read neither the chunk length
+    # nor the cutoff; a hit reports the chunks and workers of the pass that
     # filled the entry
+    monkeypatch.setattr(error_correction, "_auto_chunk", lambda total: 4096)
     third = counting.count_primes_mod_result(
-        n, 4, 3, counting.Config(chunk_size=4096, cutoff=1000))
+        n, 4, 3, counting.Config(cutoff=1000))
     assert set(third.timings) == {"combine"}
     assert third.value == second.value
     for key in ("correction_chunks", "correction_workers"):
@@ -320,11 +360,10 @@ def test_char_cache_eviction_under_threads():
     assert len(counting._char_pipeline_cache) <= 8
 
 
-def test_negative_chunk_size_rejected():
+def test_invalid_config_fields_rejected():
     # n below the cutoff: the check comes before the sieve fallback; every
     # invalid field is refused by every public function
-    invalid = (({"chunk_size": -3}, "chunk size"),
-               ({"threads": -2}, "threads"),
+    invalid = (({"threads": -2}, "threads"),
                ({"cutoff": -1}, "cutoff"),
                ({"delta_scale": 0}, "delta scale"),
                ({"delta_scale": Fraction(-1, 3)}, "delta scale"))
@@ -422,10 +461,11 @@ def test_character_tables_are_characters_at_1024():
     assert not chars[0].is_unit
 
 
-def test_thread_count_neutral_for_values():
+def test_thread_count_neutral_for_values(monkeypatch):
     # chunks of 4096 split the correction's window (13,225 entries at this n)
     # into several jobs, so more than one thread runs them, beside the
     # transform jobs of the same pool
+    auto = error_correction._auto_chunk
     n = 300_000
     calls = ((primeconv.count_primes, (), oracles.pi_naive(n)),
              (primeconv.count_primes_mod, (4, 3), oracles.pi_mod_naive(n, 4, 3)),
@@ -433,9 +473,10 @@ def test_thread_count_neutral_for_values():
     for fn, args, expect in calls:
         vals = set()
         for t in (1, 2, 4):
-            for c in (None, 4096):
+            for chunk in (auto, lambda total: 4096):
+                monkeypatch.setattr(error_correction, "_auto_chunk", chunk)
                 counting._char_pipeline_cache.clear()
-                vals.add(fn(n, *args, counting.Config(threads=t, chunk_size=c)))
+                vals.add(fn(n, *args, counting.Config(threads=t)))
         assert vals == {expect}, fn.__name__
 
 

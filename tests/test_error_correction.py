@@ -243,23 +243,33 @@ def test_pair_prune_soundness_exhaustive():
                 assert not passes, (m, d)
 
 
-def test_pairs_deterministic_across_chunking():
+_AUTO_CHUNK = ec._auto_chunk
+
+
+def _fixed_chunk(monkeypatch, chunk):
+    """Make every correction plan chunks of `chunk` entries, or of the
+    adaptive length for None."""
+    monkeypatch.setattr(ec, "_auto_chunk", _AUTO_CHUNK if chunk is None
+                        else lambda total: chunk)
+
+
+def test_pairs_deterministic_across_chunking(monkeypatch):
     n, delta = 50000, Fraction(1, 600)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
-    vals = {tuple(ec.pairs_correction(params, bound, chunk_size=c))
-            for c in (None, 1 << 12, 1 << 14, 977)}
+    vals = set()
+    for chunk in (None, 1 << 12, 1 << 14, 977):
+        _fixed_chunk(monkeypatch, chunk)
+        vals.add(tuple(ec.pairs_correction(params, bound)))
     assert len(vals) == 1
 
 
 def test_auto_chunk_is_capped():
     for total in (0, 1, 10 ** 5, 3 * 10 ** 7, 9 * 10 ** 7, 10 ** 12):
-        assert ec._auto_chunk(total, None) <= 1 << 22, total
+        assert ec._auto_chunk(total) <= 1 << 22, total
     # the default windows: S / 8 + 1 at 10^10, the cap at 10^11
-    assert ec._auto_chunk(27_669_229, None) == 3_458_654
-    assert ec._auto_chunk(90_019_696, None) == 1 << 22
-    # an explicit chunk size still wins
-    assert ec._auto_chunk(10 ** 12, 1 << 23) == 1 << 23
+    assert ec._auto_chunk(27_669_229) == 3_458_654
+    assert ec._auto_chunk(90_019_696) == 1 << 22
 
 
 
@@ -281,13 +291,13 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
     for chunk, threads, jobs, workers in ((None, 64, 11, 4), (None, 2, 11, 2),
                                           (1 << 20, 64, 37, 16)):
         seen.clear()
-        plan = ec.correction_plan(params, bound, chunk, threads)
+        _fixed_chunk(monkeypatch, chunk)
+        plan = ec.correction_plan(params, bound, threads)
         assert (plan.chunks, plan.workers) == (jobs, workers)
         with ec.JobPool(workers) as pool:
-            assert ec.pairs_correction(params, bound, chunk_size=chunk,
-                                       pool=pool) == [0]
+            assert ec.pairs_correction(params, bound, pool=pool) == [0]
         assert seen == [(jobs, workers)], (chunk, threads)
-        size = ec._auto_chunk(params.window, chunk)
+        size = ec._auto_chunk(params.window)
         assert workers * size * ec._JOB_BYTES <= ec._MEMORY_BUDGET
         assert workers == threads or (
             (workers + 1) * size * ec._JOB_BYTES > ec._MEMORY_BUDGET)
@@ -299,7 +309,7 @@ def _chunks_and_workers(*args):
     return plan.chunks, plan.workers
 
 
-def test_pool_runs_transforms_beside_a_short_correction():
+def test_pool_runs_transforms_beside_a_short_correction(monkeypatch):
     # two one-chunk ranges and the transform jobs queued ahead of them: the
     # pool gives each job a worker, up to the threads asked for, once the
     # window reaches _POOL_WINDOW
@@ -309,23 +319,24 @@ def test_pool_runs_transforms_beside_a_short_correction():
     plan = ec.correction_plan(params, bound)
     assert params.window >= ec._POOL_WINDOW
     assert plan.split <= plan.chunk and plan.chunks == 2
-    assert _chunks_and_workers(params, bound, None, 2, 1) == (2, 2)
-    assert _chunks_and_workers(params, bound, None, 8, 3) == (2, 5)
+    assert _chunks_and_workers(params, bound, 2, 1) == (2, 2)
+    assert _chunks_and_workers(params, bound, 8, 3) == (2, 5)
     # a shorter window runs everything on one worker
     short = seg.make_params(200_000, delta, need_window=True)
     assert short.window < ec._POOL_WINDOW
-    assert _chunks_and_workers(short, 447, None, 8, 3) == (2, 1)
+    assert _chunks_and_workers(short, 447, 8, 3) == (2, 1)
     # the memory budget still caps a pool that holds transforms: four
     # workers at the default chunks of 10^10
     big = seg.make_params(10 ** 10, counting._pipeline_delta(
         10 ** 10, counting.Config()), need_window=True)
-    assert _chunks_and_workers(big, 10 ** 5, None, 64, 2) == (11, 4)
+    assert _chunks_and_workers(big, 10 ** 5, 64, 2) == (11, 4)
     # a shared pool returns each job's own value, whatever runs beside it,
     # and times the phases apart
     expect = ec.pairs_correction(params, bound)
+    _fixed_chunk(monkeypatch, 977)
     with ec.JobPool(2) as pool:
         other = pool.submit("convolution", sum, [1, 2])
-        got = ec.pairs_correction(params, bound, chunk_size=977, pool=pool)
+        got = ec.pairs_correction(params, bound, pool=pool)
         assert other.result() == 3
     assert got == expect
     assert set(pool.seconds) == {"convolution", "correction"}
@@ -365,7 +376,7 @@ def test_correction_jobs_fit_their_byte_budget():
         n, counting._pipeline_delta(n, counting.Config()), need_window=True)
     bound = math.isqrt(n)
     sieve.primes_up_to(bound)
-    chunk = ec._auto_chunk(params.window, None)
+    chunk = ec._auto_chunk(params.window)
     for kwargs in ({}, {"weight": counting.MultiplicativeWeight.power(1),
                         "moduli": modmath.NTT_PRIMES[:2]}):
         tracemalloc.start()
@@ -420,16 +431,18 @@ def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     for kwargs, expect in modes:
         for threads in (1, 2, 3):
             for chunk in (None, 977, 1 << 12):
+                _fixed_chunk(monkeypatch, chunk)
                 with ec.JobPool(threads) as pool:
-                    got = ec.pairs_correction(params, bound, chunk_size=chunk,
-                                              pool=pool, **kwargs)
+                    got = ec.pairs_correction(params, bound, pool=pool,
+                                              **kwargs)
                 assert got == expect, (kwargs, threads, chunk)
     # divisor blocks of 61 entries: every divisor chunk spans many blocks and
     # ends in a partial one
     monkeypatch.setattr(ec, "_DIVISOR_BLOCK", 61)
     for kwargs, expect in modes:
         for chunk in (None, 977):
-            got = ec.pairs_correction(params, bound, chunk_size=chunk, **kwargs)
+            _fixed_chunk(monkeypatch, chunk)
+            got = ec.pairs_correction(params, bound, **kwargs)
             assert got == expect, (kwargs, chunk)
 
 

@@ -1,4 +1,4 @@
-import decimal
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primeconv import error_correction as ec
 from primeconv import segmentation as seg
 
 
@@ -127,23 +128,8 @@ def test_factored_cell_bound_up_to_1e5():
         assert kb - math.log2(n) <= kh <= kb
 
 
-def test_window_size_examples():
-    # formula value via decimal arithmetic as an independent check
-    n, delta = 10 ** 6, Fraction(1, 10 ** 4)
-    window = seg.window_size(n, delta)
-    decimal.getcontext().prec = 60
-    d = decimal.Decimal(delta.numerator) / decimal.Decimal(delta.denominator)
-    log2n = decimal.Decimal(math.log2(n))  # float log is fine at this scale
-    x = d * (2 + log2n) / (1 - d)
-    val = (decimal.Decimal(2) ** x - 1) * n
-    expect = int(val.to_integral_value(rounding=decimal.ROUND_CEILING))
-    assert abs(window - expect) <= 1
-    assert window >= expect  # never under-approximates
-
-
-def test_window_zero_when_formula_below_one():
-    assert seg.window_size(1000, Fraction(1, 10 ** 9)) == 0
-    # a table at that precision would be astronomically long; refused cleanly
+def test_make_params_refuses_an_astronomic_table():
+    # a table at this precision would be astronomically long; refused cleanly
     with pytest.raises(ValueError):
         seg.make_params(1000, Fraction(1, 10 ** 9))
 
@@ -156,10 +142,23 @@ def test_window_monotone_in_delta():
         last = params.window
 
 
-def test_window_requires_fine_delta():
-    params = seg.make_params(10 ** 6, Fraction(1, 10))
-    with pytest.raises(ValueError):
-        seg.error_window_size(params)
+def test_window_scan_stops_for_good():
+    # the scan stops at the first cell whose primorial test fails; no later
+    # cell passes it again, down to the coarsest delta make_params accepts
+    for n, delta in ((10 ** 6, Fraction(1, 10)), (10 ** 6, Fraction(1, 2)),
+                     (10 ** 11, Fraction(1)), (9, Fraction(1)),
+                     (10 ** 5, Fraction(7, 1000))):
+        params = seg.make_params(n, delta, need_window=True)
+        top = params.top_cell
+        end = seg.cell_index(n + params.window, params)
+        assert params.cell_top(end) == n + params.window > n, (n, delta)
+        # up to 400 cells on, below 2^64, where the primorial table ends
+        k = top + 1
+        while k < end + 400 and params.cell_top(k) < 1 << 64:
+            passes = k - 1 - seg._max_squarefree_omega(params.cell_top(k)) <= top
+            assert passes == (k <= end), (n, delta, k)
+            k += 1
+        assert k > end + 1
 
 
 def test_window_covers_every_contributing_pair():
@@ -198,9 +197,14 @@ def test_window_covers_every_contributing_pair():
 
 
 def test_shrunk_window_also_covers_pairs_and_is_smaller():
+    # the window (n, 2n], inside the boundary table, holds every product the
+    # scan's window holds and more; both give one correction
     n, delta = 20000, Fraction(1, 1000)
     params = seg.make_params(n, delta, need_window=True)
-    assert 0 <= params.window < seg.window_size(n, delta)
+    assert 0 < params.window < n
+    bound = math.isqrt(n)
+    assert (ec.pairs_correction(params, bound)
+            == ec.pairs_correction(dataclasses.replace(params, window=n), bound))
     # a square-free d2 with omega(d2) prime factors is at least the primorial
     assert seg._max_squarefree_omega(2 * 3 * 5 * 7) == 4
     assert seg._max_squarefree_omega(2 * 3 * 5 * 7 - 1) == 3

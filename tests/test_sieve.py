@@ -140,13 +140,13 @@ def test_screen_chunk_above_32_bits():
 
 
 def test_screen_chunk_coarsest_window_delta_smallest_bound():
-    # delta = 1/65 is the coarsest unit fraction inside window_valid at 2^16;
-    # there the gap condition already fails for the primes up to 2 and holds
-    # for those up to 3, so smoothness is read off a 3-smooth test with the
-    # least margin
+    # delta = 1/65 is the coarsest unit fraction with delta * log2(n) < 1/4
+    # at 2^16; there the gap condition already fails for the primes up to 2
+    # and holds for those up to 3, so smoothness is read off a 3-smooth test
+    # with the least margin
     n = 1 << 16
     delta = Fraction(1, 65)
-    assert seg.window_valid(n, delta) and not seg.window_valid(n, Fraction(1, 64))
+    assert delta * 16 < Fraction(1, 4) <= Fraction(1, 64) * 16
     params = seg.make_params(n, delta)
     lo, hi = n - 1500, n + 1500
     two = sieve.primes_up_to(2)
