@@ -10,6 +10,7 @@ import argparse
 import json as json_mod
 import math
 import os
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -141,10 +142,6 @@ def _emit(bundle, elapsed, as_json):
     print(json_mod.dumps(obj))
 
 
-def _verify_cutoff():
-    return int(_env("VERIFY_CUTOFF", str(20_000_000)))
-
-
 def _bench(args, config, as_json):
     if args.start < 1 or args.factor < 2:
         # n *= factor must grow past --to, or the schedule never ends
@@ -164,12 +161,9 @@ def _bench(args, config, as_json):
         n *= args.factor
     slope = None
     if len(rows) >= 2:
-        xs = [math.log(r["n"]) for r in rows]
-        ys = [math.log(max(r["total_s"], 1e-9)) for r in rows]
-        xm = sum(xs) / len(xs)
-        ym = sum(ys) / len(ys)
-        slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
-                 / sum((x - xm) ** 2 for x in xs))
+        slope = statistics.linear_regression(
+            [math.log(r["n"]) for r in rows],
+            [math.log(max(r["total_s"], 1e-9)) for r in rows]).slope
     if as_json:
         print(json_mod.dumps({"function": args.fn, "rows": rows,
                               "slope": slope}))
@@ -211,7 +205,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         bundle = _run_function(args.command, args.n, vars(args), config)
         elapsed = time.perf_counter() - t0
-        if args.verify and args.n <= _verify_cutoff():
+        if args.verify and args.n <= int(_env("VERIFY_CUTOFF", "20000000")):
             expected = _run_oracle(args.command, args.n, vars(args), config)
             if expected != bundle.value:
                 print(f"verify mismatch: {args.command}({args.n}) = "

@@ -354,9 +354,14 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     return approx, corr, params, primes, timings, counts
 
 
+def _sieved(n, config):
+    # below the cutoff, or n <= 1, which has no pipeline cell width
+    return n < max(config.cutoff, 2)
+
+
 def _sieve_result(function, n, oracle, *args, extra=None):
     """The bundle of oracle(n, *args), a direct sieve of oracles, for an
-    input below the cutoff."""
+    input that _sieved sends to it."""
     t0 = time.perf_counter()
     value = oracle(n, *args)
     return ResultBundle(function, n, value, None, None, None,
@@ -387,7 +392,7 @@ def count_primes_result(n, config=None):
     """Exact number of primes <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("pi", n, config)
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("pi", n, oracles.pi_naive)
     return _prime_sum_result("pi", n, MultiplicativeWeight.power(0), config, {})
 
@@ -401,7 +406,7 @@ def sum_over_primes_result(n, power=1, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("sum-primes", n, config, power=power)
     weight = MultiplicativeWeight.power(power)
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("sum-primes", n, oracles.sum_primes_naive, power,
                              extra={"power": power})
     return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
@@ -454,7 +459,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         bundle.extra.update({"modulus": 1, "residue": 0})
         return bundle
     residue %= modulus
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("pi-mod", n, oracles.pi_mod_naive, modulus,
                              residue,
                              extra={"modulus": modulus, "residue": residue})
@@ -508,7 +513,7 @@ def mertens_result(n, config=None):
     """Exact Mertens function: sum of mu(k) for k <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("mertens", n, config)
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("mertens", n, oracles.mertens_naive)
     values = mertens_multi([n], math.isqrt(n - 1) + 1, config)
     bundle = values[0]
@@ -556,11 +561,9 @@ def mertens_multi(ns, trunc, config=None, delta=None):
         # cell array of mu up to the truncation, exact then per-modulus
         cells = segmentation.cell_index_vec(
             np.arange(1, trunc + 1, dtype=np.uint64), params_max)
-        vals = mu.values[1:trunc + 1]
         width = params_max.top_cell + 1
-        mubar = (np.bincount(cells[vals == 1], minlength=width)
-                 - np.bincount(cells[vals == -1], minlength=width)).astype(np.int64)
-        mubar = mubar[:width]
+        # float bin sums of mu(1..trunc) are exact: each is at most trunc
+        mubar = np.bincount(cells, mu.values[1:], width)[:width].astype(np.int64)
         conv2 = {}
         for p in moduli:
             arr = (mubar % p).astype(np.uint64)
@@ -578,12 +581,12 @@ def mertens_multi(ns, trunc, config=None, delta=None):
                 a = _prefix_dot(conv2[p][:top + 1], modmath.mod(tops, p), p)
                 residues.append((2 * m_trunc - a + corr) % p)
             value = modmath.crt_combine(residues, moduli)
-            sub_t = dict(timings)
-            sub_t["threshold"] = time.perf_counter() - t1
+            sub_t = {**timings, "threshold": time.perf_counter() - t1}
             results[n_i] = ResultBundle(
                 "mertens-multi", n_i, value, delta,
                 error_correction.triple_window(sub), moduli, sub_t,
-                {"trunc": trunc})
+                {"trunc": trunc, "triple_pairs":
+                 error_correction.triple_pairs(sub, trunc, mu)})
     return [results[n_i] for n_i in ns]
 
 
@@ -591,9 +594,9 @@ def _weighted_mertens(weights, mu, limit, config, delta=None):
     """(sum of w * M(x) over the thresholds x -> w of `weights`, the NTT
     primes used). Thresholds up to `limit` read the prefix sums of the
     MuTable mu; the rest share one mertens_multi call at the smallest
-    truncation T with every threshold <= T^2 (its triple correction walks
-    about T^2 pairs), whose primes are those of the largest threshold (None
-    without the call)."""
+    truncation T with every threshold <= T^2 (the triple correction of a
+    threshold x walks about 2.2 x^(2/3) pairs), whose primes are
+    those of the largest threshold (None without the call)."""
     total = sum(mu.prefix_sum(x) * w for x, w in weights.items() if x <= limit)
     big = sorted(x for x in weights if x > limit)
     if not big:
@@ -608,11 +611,14 @@ def count_squarefree_result(n, config=None):
     """Exact count of square-free integers <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("squarefree", n, config)
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("squarefree", n, oracles.sqfree_naive)
     timings = {}
     t0 = time.perf_counter()
-    d = _icbrt(n)
+    # the float cube root lies within 1e-11 of the real one for n <= MAX_N,
+    # so it rounds to icbrt(n) or one above
+    d = round(n ** (1 / 3))
+    d -= d ** 3 > n
     limit = max(d, min(config.cutoff, math.isqrt(n)))
     mu = sieve.mu_up_to(limit)
     timings["sieve"] = time.perf_counter() - t0
@@ -639,20 +645,11 @@ def count_squarefree(n, config=None):
     return count_squarefree_result(n, config).value
 
 
-def _icbrt(n):
-    r = round(n ** (1 / 3)) if n > 0 else 0
-    while (r + 1) ** 3 <= n:
-        r += 1
-    while r > 0 and r ** 3 > n:
-        r -= 1
-    return r
-
-
 def totient_sum_result(n, config=None):
     """Exact totient summatory function: sum of phi(k) for k <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("totient-sum", n, config)
-    if n < config.cutoff:
+    if _sieved(n, config):
         return _sieve_result("totient-sum", n, oracles.totient_sum_naive)
     timings = {}
     t0 = time.perf_counter()

@@ -11,9 +11,9 @@ larger d2 are reached as m/d1 for small cofactors d1 through stride slices of
 the screened window. X minimises a measured cost model of the two sides
 (see _pair_split). Its exact count is split by the class of the product
 mod a modulus (one class for pi, all at once for residue classes); a
-weighted count is kept per NTT prime. The triple sum (Mertens) is counted
-in two halves split on d1*d2, with one interval count per pair in each: see
-triples_correction.
+weighted count is kept per NTT prime. The triple sum (Mertens) counts each
+triple by its largest factor, in O(1) for each pair of the other two, about
+2.2 (n+W)^(2/3) pairs in all: see triples_correction.
 """
 
 import math
@@ -31,14 +31,6 @@ def triple_window(params):
     """Window length for triple corrections: only cell indices within two of
     the top cell can host a contributing triple."""
     return max(0, params.cell_top(params.top_cell + 2) - params.n)
-
-
-def _chunk_ranges(lo, hi, chunk):
-    start = lo
-    while start < hi:
-        stop = min(start + chunk, hi)
-        yield start, stop
-        start = stop
 
 
 # peak bytes a correction job holds per chunk entry (tracemalloc, one
@@ -315,8 +307,10 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
                 part[i] += int(np.dot(hv.astype(np.int64), sj))
         return per_class.tolist() if unit else part
 
-    jobs = [(divisor_job, lo, hi) for lo, hi in _chunk_ranges(0, split, chunk)]
-    jobs += [(window_job, lo, hi) for lo, hi in _chunk_ranges(n, n + window, chunk)]
+    jobs = [(divisor_job, lo, min(lo + chunk, split))
+            for lo in range(0, split, chunk)]
+    jobs += [(window_job, lo, min(lo + chunk, n + window))
+             for lo in range(n, n + window, chunk)]
     parts = (pool or JobPool(1)).map(
         "correction", lambda job: job[0](job[1], job[2]), jobs)
     sums = [sum(col) for col in zip(*parts)]
@@ -408,77 +402,94 @@ def _inverse_table(m):
     return inv
 
 
-# entries per block of the triple correction; a half-B block holds at least
-# one row, one entry per square-free d2 <= trunc
-_TRIPLE_CHUNK = 1 << 15
+# pairs per block of the triple correction, at least one row: 2^15 held
+# 6.2 MB at 10^9 against 4.7 MB for 2^14 (tracemalloc) and ran no faster
+_TRIPLE_BLOCK = 1 << 14
 
 
-def _triple_split(n_hi, squarefree, trunc):
-    """Split point X of the triple sum. Half A walks about X ln(trunc) pairs
-    (d1, d2) and half B about squarefree * n_hi / X pairs (d2, d3); a pair of
-    half A costs about twice one of half B, and this X balances the two."""
-    return max(1, math.isqrt(int(n_hi * squarefree / (2 * math.log(trunc + 1)))))
+def _pair_blocks(first, cols):
+    """(r, j) per block of about _TRIPLE_BLOCK pairs, cut from the cumulative
+    row lengths: row r of the walk takes the columns j from first[r] on."""
+    ends = np.cumsum(cols)
+    cuts = np.unique(np.searchsorted(
+        ends, np.arange(0, ends[-1], _TRIPLE_BLOCK), side="right"))
+    for r0, r1 in zip(cuts, np.append(cuts[1:], len(cols))):
+        c, e = cols[r0:r1], ends[r0:r1]
+        yield (np.repeat(np.arange(r0, r1), c),
+               np.arange(e[0] - c[0], e[-1]) + np.repeat(first[r0:r1] + c - e, c))
+
+
+def _triple_walks(params, trunc, mu_table):
+    """(n + W, vals, walks): the square-free vals <= min(trunc, isqrt(n + W))
+    and the (first, cols) of the two walks over them (see _pair_blocks).
+    Rows a = vals[r] take the columns b <= a with a^2 b <= n + W; rows
+    d1 = r + 1 the columns e that leave room for a w > d1, w >= e, w <=
+    trunc: d1 (d1 + 1) e <= n + W, d1 e^2 <= n + W and d1 e > n // trunc."""
+    n = params.n
+    n_hi = n + triple_window(params)
+    mu = mu_table.values[:min(trunc, math.isqrt(n_hi)) + 1]
+    vals = np.flatnonzero(mu).astype(np.int64)
+    a = np.arange(len(vals))
+    top_cols = np.minimum(a + 1, np.searchsorted(vals, n_hi // (vals * vals),
+                                                 side="right"))
+    d1 = np.arange(1, math.isqrt(n_hi) + 1, dtype=np.int64)
+    first = np.searchsorted(vals, n // trunc // d1, side="right")
+    # the float root may run one over isqrt: a spare column counts nothing
+    root = np.sqrt(n_hi / d1).astype(np.int64) + 1
+    last = np.searchsorted(vals, np.minimum(n_hi // (d1 * (d1 + 1)), root),
+                           side="right")
+    return n_hi, vals, [(np.zeros_like(a), top_cols),
+                        (first, np.maximum(last - first, 0))]
+
+
+def triple_pairs(params, trunc, mu_table):
+    """Pairs that triples_correction walks with these arguments."""
+    return sum(int(cols.sum())
+               for _, cols in _triple_walks(params, trunc, mu_table)[2])
 
 
 def triples_correction(params, trunc, mu_table):
     """Triple error sum: mu(d2) * mu(d3) over d1 * d2 * d3 in (n, n + W] with
     square-free d2, d3 <= trunc and cell indices summing to at most top_cell.
 
-    Counted in two halves split at d1 * d2 = X. Half A walks the pairs
-    (d1, d2) with d1 * d2 <= X and takes the Mobius mass of the admissible d3
-    from prefix sums. Half B (d1 * d2 > X, so d3 <= (n + W) // (X + 1)) walks
-    the pairs (d3, d2) and counts the admissible d1 in one interval each.
+    Each triple is counted by its largest factor, in O(1) for each pair of
+    the other two (_triple_walks), up to the cap that the cell budget of the
+    pair leaves: d1 >= d2, d3 in one interval, w = d2 > d1, w >= d3 and
+    w = d3 > d1, w > d2 from the prefix sums of mu.
     """
     n = params.n
-    n_hi = n + triple_window(params)
-    if n_hi <= n:
-        return 0
+    n_hi, vals, walks = _triple_walks(params, trunc, mu_table)
     top = params.top_cell
-    mu = mu_table.values[:trunc + 1]
-    vals = np.flatnonzero(mu).astype(np.int64)
-    signs = mu[vals].astype(np.int64)
+    signs = mu_table.values[vals].astype(np.int64)
     bounds = params.bounds_np.astype(np.int64)
-    kcells = np.searchsorted(bounds, vals, side="right") - 1
-    x = min(_triple_split(n_hi, len(vals), trunc), n_hi)
-    # cap[pad + r] = cell_top(r), the largest cofactor a cell budget r
-    # admits (0 when r < 0); d1 <= n + W has cell <= top + 2 and d2, d3 <=
-    # trunc have cell <= kcells[-1], so no budget below falls under -pad
+    cells = np.searchsorted(bounds, np.arange(1, math.isqrt(n_hi) + 1), side="right") - 1
+    kcells = cells[vals - 1]
+    # cap[pad + r] = cell_top(r), the largest factor a cell budget r admits
+    # (0 when r < 0); the other two factors have cells <= top + 2 and
+    # kcells[-1], so no budget falls under -pad
     pad = top + 2 + 2 * int(kcells[-1])
     cap = np.concatenate([np.zeros(pad, dtype=np.int64), bounds[1:top + 2] - 1])
     total = 0
-
-    # half A, d1 by row. Pairs with d1 * d2 * trunc <= n leave no d3 <= trunc
-    # and are skipped; the rest have lo < trunc and hi <= n_hi // (n // trunc
-    # + 1), so the prefix sums, held flat past trunc, need no clamp
-    prefix = np.cumsum(mu, dtype=np.int64)
-    flat = n_hi // (n // trunc + 1) - trunc + 1
-    prefix = np.concatenate([prefix, np.full(max(flat, 0), prefix[-1])])
-    d1_lo = 1
-    while d1_lo <= x:
-        # rows shorten as d1 grows: size the block by its first row
-        longest = int(np.searchsorted(vals, x // d1_lo, side="right"))
-        width = max(1, _TRIPLE_CHUNK // longest)
-        d1 = np.arange(d1_lo, min(d1_lo + width, x + 1), dtype=np.int64)
-        d1_lo += width
-        first = np.searchsorted(vals, n // (trunc * d1), side="right")
-        cols = np.maximum(np.searchsorted(vals, x // d1, side="right") - first, 0)
-        ends = np.cumsum(cols)
-        j = np.arange(int(ends[-1])) + np.repeat(first + cols - ends, cols)
-        m = np.repeat(d1, cols) * vals[j]
-        lo = n // m
-        k1 = np.searchsorted(bounds, d1, side="right") - 1
-        budget = np.repeat(pad + top - k1, cols) - kcells[j]
-        hi = np.maximum(np.minimum(n_hi // m, cap[budget]), lo)
-        total += int(np.dot(signs[j], prefix[hi] - prefix[lo]))
-
-    # half B, d3 by row: d1 > X // d2
-    d3_count = int(np.searchsorted(vals, n_hi // (x + 1), side="right"))
-    floor_x = x // vals
-    rows = max(1, _TRIPLE_CHUNK // len(vals))
-    for a in range(0, d3_count, rows):
-        b = min(a + rows, d3_count)
-        q = vals[a:b, None] * vals
-        upper = np.minimum(n_hi // q, cap[(pad + top - kcells[a:b, None]) - kcells])
-        lower = np.maximum(n // q, floor_x)
-        total += int(signs[a:b] @ (np.maximum(upper - lower, 0) @ signs))
+    # d1 largest: rows a = vals[r], columns b = vals[j] <= a, d1 in
+    # (max(n // q, a - 1), min(n_hi // q, cap)] for q = a b
+    for r, j in _pair_blocks(*walks[0]):
+        q = vals[r] * vals[j]
+        lo = np.maximum(n // q, vals[r] - 1)
+        hi = np.minimum(n_hi // q, cap[pad + top - kcells[r] - kcells[j]])
+        # a pair a != b stands for (d2, d3) = (a, b) and (b, a)
+        weight = signs[r] * signs[j] * (2 - (r == j))
+        total += int(np.dot(weight, np.maximum(hi - lo, 0)))
+    # d2 or d3 largest: rows d1 = r + 1, columns e = vals[j]
+    prefix = np.cumsum(mu_table.values[:trunc + 1], dtype=np.int64)
+    cap = np.minimum(cap, trunc)
+    for r, j in _pair_blocks(*walks[1]):
+        d1, e = r + 1, vals[j]
+        q = d1 * e
+        hi = np.minimum(n_hi // q, cap[pad + top - cells[r] - kcells[j]])
+        base = np.maximum(n // q, d1)
+        # w = d3 > e = d2 and w = d2 >= e = d3 both run over (max(base, e),
+        # hi]; w = d2 = d3 = e adds mu(e)^2 = 1 when base < e <= hi
+        lo = np.minimum(np.maximum(base, e), hi)
+        total += 2 * int(np.dot(signs[j], prefix[hi] - prefix[lo]))
+        total += int(np.count_nonzero((base < e) & (e <= hi)))
     return total

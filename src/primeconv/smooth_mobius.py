@@ -174,10 +174,8 @@ def transform_counters(primes, params, weights):
     """The --json counters of smooth_mobius_cells over `weights`:
     `transform_length`, [prime count, r_used] per range (`partitions`) and
     the forward transforms per NTT prime (`forward_transforms`)."""
-    ranges = _size_ranges(primes, params)
-    length = _shared_length(ranges)
-    parts = [PrimePartition(lo, hi, r_used, length)
-             for lo, hi, r_used, _ in ranges]
+    parts = make_partitions(primes, params)
+    length = parts[0].pad_length if parts else 1
     forward = sum(len(_range_keys(weights[lo:hi], part.r_used))
                   for lo, hi in _weight_groups(weights, parts, length)
                   for part in parts if _truncated(part))

@@ -150,6 +150,26 @@ def test_json_carries_the_pair_split(capsys):
         code, out, _ = run_cli(capsys, "--threads", "2", *argv)
         assert code == 0 and out == f"{obj['result']}\n", argv
 
+
+def test_tiny_n_under_a_low_cutoff_answers(capsys):
+    # n <= 1 takes the sieve under --cutoff 0 or 1, as it does above them
+    for cutoff in ("0", "1"):
+        for argv in (["pi", "1"], ["sum-primes", "1", "--power", "1"],
+                     ["pi-mod", "1", "--modulus", "4", "--residue", "3"],
+                     ["pi", "0"]):
+            code, out, _ = run_cli(capsys, "--cutoff", cutoff, *argv)
+            assert code == 0 and out == "0\n", (cutoff, argv)
+
+
+def test_json_carries_the_triple_pairs(capsys):
+    code, out, _ = run_cli(capsys, "--json", "mertens", "1000000")
+    obj = json.loads(out)
+    assert code == 0 and obj["result"] == 212
+    assert 0 < obj["triple_pairs"] <= 3 * (10 ** 6 + obj["s"]) ** (2 / 3)
+    code, out, _ = run_cli(capsys, "mertens", "1000000")
+    assert code == 0 and out == "212\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "pi")[0] == 2
     assert run_cli(capsys, "nonsense", "5")[0] == 2

@@ -10,7 +10,7 @@ import pytest
 
 import primeconv
 from primeconv import counting, error_correction, modmath, oracles
-from primeconv import segmentation
+from primeconv import segmentation, sieve
 
 FAST = counting.Config(cutoff=500)
 
@@ -170,11 +170,39 @@ def test_mertens_multi_examples():
 
 
 def test_mertens_multi_many_thresholds():
-    # thresholds far below trunc^2 reach the triple split with trunc >> sqrt(n)
+    # thresholds far below trunc^2 reach the triple walks with trunc >> sqrt(n)
     rng = random.Random(8)
     ns = [rng.randrange(10 ** 4 + 1, 10 ** 6 + 1) for _ in range(20)]
     got = [b.value for b in primeconv.mertens_multi(ns, 1000)]
     assert got == oracles.mertens_naive(max(ns), ns)
+
+
+def test_mertens_bundles_carry_the_triple_pairs():
+    # counting each triple by its largest factor walks about 2.2 (n + W)^(2/3)
+    # pairs of the other two
+    for n in (10 ** 8, 10 ** 9):
+        bundle = primeconv.mertens_result(n)
+        pairs = bundle.extra["triple_pairs"]
+        assert 0 < pairs <= 3 * (n + bundle.window) ** (2 / 3), (n, pairs)
+    for bundle in primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5], 1000):
+        params = segmentation.make_params(bundle.n, bundle.delta)
+        assert bundle.extra["triple_pairs"] == error_correction.triple_pairs(
+            params, 1000, sieve.mu_up_to(1000)), bundle.n
+
+
+def test_n_up_to_one_takes_the_sieve_under_any_cutoff():
+    # n <= 1 has no pipeline cell width, whatever the cutoff
+    for cutoff in (0, 1):
+        cfg = counting.Config(cutoff=cutoff)
+        for n in (0, 1):
+            assert primeconv.count_primes(n, cfg) == 0
+            assert primeconv.sum_over_primes(n, 2, cfg) == 0
+            assert primeconv.count_primes_mod(n, 4, 1, cfg) == 0
+            assert primeconv.count_primes_mod(n, 1, 0, cfg) == 0
+            assert primeconv.mertens(n, cfg) == n
+            assert primeconv.count_squarefree(n, cfg) == n
+            assert primeconv.totient_sum(n, cfg) == n
+        assert primeconv.count_primes(2, cfg) == 1
 
 
 def test_mertens_published_values():

@@ -467,12 +467,11 @@ def test_triples_random_configs_and_fast_agreement():
         assert ec.triples_correction(params, trunc, mu) == expect, (n, delta)
 
 
-@pytest.mark.parametrize("split", [1, 7, 10 ** 3, 10 ** 6])
-def test_triples_forced_split_matches_oracle(monkeypatch, split):
-    # the two halves meet at d1 * d2 = X: any X gives the same sum, from
-    # X = 1 (half B alone) to X past n + W (half A alone)
-    monkeypatch.setattr(ec, "_triple_split", lambda *args: split)
-    rng = random.Random(split)
+@pytest.mark.parametrize("seed", [1, 7, 10 ** 3, 10 ** 6])
+def test_triples_random_truncations_match_oracle(seed):
+    # from trunc = ceil(sqrt(n)) up to 4n: past isqrt(n + W) no pair gains a
+    # column, while the largest factor w runs up to min(trunc, n + W)
+    rng = random.Random(seed)
     for _ in range(6):
         n = rng.randrange(100, 1500)
         delta = Fraction(1, rng.randrange(4 * n.bit_length(), 200))
@@ -484,8 +483,35 @@ def test_triples_forced_split_matches_oracle(monkeypatch, split):
         assert ec.triples_correction(params, trunc, mu) == expect, (n, delta, trunc)
 
 
+@pytest.mark.parametrize("a, b, c", [(30, 30, 30), (30, 30, 29), (30, 30, 31),
+                                     (29, 31, 31), (2, 101, 101)])
+def test_triples_with_tied_factors_match_oracle(a, b, c):
+    # n just below a * b * c puts that product in the window: a triple whose
+    # largest factor is tied (d1 = d2 = d3, d1 = d2 or d2 = d3) must be
+    # counted once, with each ordering of (d2, d3) once
+    n, delta = a * b * c - 1, Fraction(1, 64)
+    params = seg.make_params(n, delta)
+    assert a * b * c <= n + ec.triple_window(params)
+    cells = sum(seg.cell_index(d, params) for d in (a, b, c))
+    assert cells <= params.top_cell  # the tied triple itself is counted
+    for trunc in (math.isqrt(n) + 1, c, 4 * n):
+        mu = sieve.mu_up_to(trunc)
+        expect = oracles.error_term_naive_triples(n, delta, trunc)
+        assert ec.triples_correction(params, trunc, mu) == expect, trunc
+
+
+def test_triples_pinned_at_the_pipeline_delta():
+    # values of the earlier two-half count, at sizes beyond the oracle
+    for n, expect in ((10 ** 8, -111), (10 ** 9, -4334), (10 ** 10, 3721)):
+        trunc = math.isqrt(n - 1) + 1
+        params = seg.make_params(
+            n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
+        assert ec.triples_correction(params, trunc, sieve.mu_up_to(trunc)) == expect
+
+
 def test_triples_memory_stays_chunked():
-    # the d2 = 1 row of half A alone is X (about 10^6) entries long at 1e9
+    # blocks are cut from the cumulative row lengths: sized by their first
+    # row, the d1-largest rows (which grow with a) fell into one block
     n = 10 ** 9
     trunc = math.isqrt(n) + 1
     params = seg.make_params(n, counting._pipeline_delta(n, counting.DEFAULT_CONFIG))
@@ -496,7 +522,7 @@ def test_triples_memory_stays_chunked():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 << 20, peak
+    assert peak < 16 << 20, peak
 
 
 def test_triples_identity_with_dirichlet_reference():
