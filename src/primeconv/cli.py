@@ -7,6 +7,7 @@ result and timings. `oracle` runs the brute-force reference instead, and
 """
 
 import argparse
+import functools
 import json as json_mod
 import math
 import os
@@ -41,6 +42,8 @@ def _env(name, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
+# built once per process, as parsing leaves it unchanged
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="primeconv",

@@ -576,7 +576,8 @@ def mertens_multi(ns, trunc, config=None, delta=None):
             top = sub.top_cell
             tops = _celltops_desc(sub)
             residues = []
-            corr = error_correction.triples_correction(sub, trunc, mu)
+            plan = error_correction.triple_walks(sub, trunc, mu)
+            corr = error_correction.triples_correction(sub, trunc, mu, plan)
             for p in moduli:
                 a = _prefix_dot(conv2[p][:top + 1], modmath.mod(tops, p), p)
                 residues.append((2 * m_trunc - a + corr) % p)
@@ -585,8 +586,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
             results[n_i] = ResultBundle(
                 "mertens-multi", n_i, value, delta,
                 error_correction.triple_window(sub), moduli, sub_t,
-                {"trunc": trunc, "triple_pairs":
-                 error_correction.triple_pairs(sub, trunc, mu)})
+                {"trunc": trunc, "triple_pairs": plan[-1]})
     return [results[n_i] for n_i in ns]
 
 

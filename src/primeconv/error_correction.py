@@ -69,6 +69,9 @@ _MAX_COFACTORS = (1 << 15) // 16 - 2
 # 471,755), in 10 of 11 pairs each
 _POOL_WINDOW = 150_000
 
+# longest stride-pass gather: take() copies its int16 indices to 8-byte intp
+_GATHER_BLOCK = 1 << 16
+
 
 def _auto_chunk(total):
     # capped: at 2^22 entries one job peaks near 90 MB (unit weight), and
@@ -286,7 +289,13 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
                 continue
             # mu(m/d1) for each m = first + j * d1, 0 when (d1, m/d1) is no pair
             lookup[cells] = signs
-            sg = lookup.take(code[first - (lo + 1)::d1])
+            idx = code[first - (lo + 1)::d1]
+            if len(idx) > _GATHER_BLOCK:
+                sg = np.empty(len(idx), dtype=np.int8)
+                for a in range(0, len(idx), _GATHER_BLOCK):
+                    lookup.take(idx[a:a + _GATHER_BLOCK], out=sg[a:a + _GATHER_BLOCK])
+            else:
+                sg = lookup.take(idx)
             lookup[cells] = 0
             if unit:
                 if modulus == 1:
@@ -419,12 +428,13 @@ def _pair_blocks(first, cols):
                np.arange(e[0] - c[0], e[-1]) + np.repeat(first[r0:r1] + c - e, c))
 
 
-def _triple_walks(params, trunc, mu_table):
-    """(n + W, vals, walks): the square-free vals <= min(trunc, isqrt(n + W))
-    and the (first, cols) of the two walks over them (see _pair_blocks).
-    Rows a = vals[r] take the columns b <= a with a^2 b <= n + W; rows
-    d1 = r + 1 the columns e that leave room for a w > d1, w >= e, w <=
-    trunc: d1 (d1 + 1) e <= n + W, d1 e^2 <= n + W and d1 e > n // trunc."""
+def triple_walks(params, trunc, mu_table):
+    """(n + W, vals, walks, pairs): the square-free vals <= min(trunc,
+    isqrt(n + W)), the (first, cols) of the two walks over them (see
+    _pair_blocks) and the number of pairs they walk. Rows a = vals[r] take
+    the columns b <= a with a^2 b <= n + W; rows d1 = r + 1 the columns e
+    that leave room for a w > d1, w >= e, w <= trunc: d1 (d1 + 1) e <= n + W,
+    d1 e^2 <= n + W and d1 e > n // trunc."""
     n = params.n
     n_hi = n + triple_window(params)
     mu = mu_table.values[:min(trunc, math.isqrt(n_hi)) + 1]
@@ -438,27 +448,22 @@ def _triple_walks(params, trunc, mu_table):
     root = np.sqrt(n_hi / d1).astype(np.int64) + 1
     last = np.searchsorted(vals, np.minimum(n_hi // (d1 * (d1 + 1)), root),
                            side="right")
-    return n_hi, vals, [(np.zeros_like(a), top_cols),
-                        (first, np.maximum(last - first, 0))]
+    walks = [(np.zeros_like(a), top_cols), (first, np.maximum(last - first, 0))]
+    return n_hi, vals, walks, sum(int(cols.sum()) for _, cols in walks)
 
 
-def triple_pairs(params, trunc, mu_table):
-    """Pairs that triples_correction walks with these arguments."""
-    return sum(int(cols.sum())
-               for _, cols in _triple_walks(params, trunc, mu_table)[2])
-
-
-def triples_correction(params, trunc, mu_table):
+def triples_correction(params, trunc, mu_table, plan=None):
     """Triple error sum: mu(d2) * mu(d3) over d1 * d2 * d3 in (n, n + W] with
     square-free d2, d3 <= trunc and cell indices summing to at most top_cell.
 
     Each triple is counted by its largest factor, in O(1) for each pair of
-    the other two (_triple_walks), up to the cap that the cell budget of the
+    the other two (triple_walks), up to the cap that the cell budget of the
     pair leaves: d1 >= d2, d3 in one interval, w = d2 > d1, w >= d3 and
-    w = d3 > d1, w > d2 from the prefix sums of mu.
+    w = d3 > d1, w > d2 from the prefix sums of mu. `plan` is
+    triple_walks(params, trunc, mu_table), built here when not given.
     """
     n = params.n
-    n_hi, vals, walks = _triple_walks(params, trunc, mu_table)
+    n_hi, vals, walks, _ = plan or triple_walks(params, trunc, mu_table)
     top = params.top_cell
     signs = mu_table.values[vals].astype(np.int64)
     bounds = params.bounds_np.astype(np.int64)

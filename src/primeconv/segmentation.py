@@ -1,10 +1,10 @@
 """Log-scale segmentation.
 
 Integers are bucketed into cells by cell_index(n) = floor(log2(n) / delta) for
-an exact rational precision delta. Everything here is exact integer
-arithmetic: cell boundaries ceil(2^(k*delta)) are computed with
-directed-rounding interval arithmetic at adaptive precision, so cell_index is
-deterministic, non-decreasing, and never at the mercy of floating point.
+an exact rational precision delta. Cell boundaries ceil(2^(k*delta)) are
+certified float products of directed-rounding integer intervals, with an
+exact fallback at adaptive precision for every entry the float bound leaves
+open, so cell_index is deterministic, non-decreasing, and exact.
 """
 
 import bisect
@@ -55,10 +55,10 @@ def _sqrt_chain(bits, count):
     return chain
 
 
-def _pow2_frac_bounds(num, den, bits):
-    """Directed bounds on 2^(num/den) * 2^bits for 0 <= num < den."""
-    if num == 0:
-        return (1 << bits, 1 << bits)
+def _pow2_bounds(exponent, bits):
+    """Directed bounds on 2^exponent * 2^bits for a non-negative Fraction."""
+    den = exponent.denominator
+    a, num = divmod(exponent.numerator, den)
     chain = _sqrt_chain(bits, bits)
     lo = hi = 1 << bits
     for i in range(bits):
@@ -73,14 +73,6 @@ def _pow2_frac_bounds(num, den, bits):
     else:
         if num:  # truncated expansion: widen the upper bound by one tail ulp
             hi += (hi >> (bits - 2)) + 1
-    return (lo, hi)
-
-
-def _pow2_bounds(exponent, bits):
-    """Directed bounds on 2^exponent * 2^bits for a non-negative Fraction."""
-    num, den = exponent.numerator, exponent.denominator
-    a, rem = divmod(num, den)
-    lo, hi = _pow2_frac_bounds(rem, den, bits)
     return (lo << a, hi << a)
 
 
@@ -101,38 +93,61 @@ def _exact_ceil_pow2(exponent):
 
 
 _MAX_BOUNDARY_ENTRIES = 1 << 26
+_FLOAT_SLACK = 2.0 ** -49  # relative error bound of a float boundary entry
+
+
+def _float_powers(step, count, bits):
+    """float64 of 2^(i x) for i < count: the lower ends of the directed
+    intervals on step^i, where step bounds 2^x scaled by 2^bits."""
+    s_lo, s_hi = step
+    lo = hi = 1 << bits
+    out = []
+    for _ in range(count):
+        out.append(float(lo))
+        lo, hi = (lo * s_lo) >> bits, ((hi * s_hi) >> bits) + 1
+    return np.array(out) * 2.0 ** -bits
 
 
 def _boundary_list(delta, stop_above):
-    """[ceil(2^(k*delta))] for k = 0, 1, ... until the value exceeds stop_above."""
+    """int64 array of ceil(2^(k*delta)), k = 0, 1, ..., to the first above
+    stop_above. With k = q B + r and B about the square root of the length
+    K, intervals at 320 bits on 2^(q B delta) and 2^(r delta) (2 sqrt(K)
+    big-integer steps, each widening them by under 2^-300 relatively) round
+    correctly to float64 factors A_q and C_r within 2^-53 + 2^-280 of the
+    true powers. The IEEE product y_k = A_q C_r then lies within
+    3 * 2^-53 + 2^-279 < 2^-51 of 2^(k delta), relatively, so y_k (1 -+
+    2^-49), each rounded, bracket it. An entry whose ceiling is the same at
+    both ends is certified; every other one, with every exact power of two
+    (k delta an integer), is recomputed with _exact_ceil_pow2.
+    """
     num, den = delta.numerator, delta.denominator
+    # entry est is at least 2^bit_length(stop_above), above stop_above
     est = (max(stop_above, 2).bit_length() + 1) * den // num
     if est > _MAX_BOUNDARY_ENTRIES:
         raise ValueError(
             f"delta {delta} needs ~{est} boundary entries at bound "
             f"{stop_above}; too fine for table-based segmentation")
     bits = 320
-    step_lo, step_hi = _pow2_bounds(delta, bits)
-    out = [1]
-    lo = hi = 1 << bits
-    k = 0
-    while out[-1] <= stop_above:
-        k += 1
-        lo = (lo * step_lo) >> bits
-        hi = ((hi * step_hi) >> bits) + 1
-        if (k * num) % den == 0:
-            exact = 1 << (k * num // den)
-            out.append(exact)
-            lo = hi = exact << bits
-            continue
-        clo = -(-lo >> bits)
-        chi = -(-hi >> bits)
-        if clo == chi:
-            out.append(clo)
-        else:
-            out.append(_exact_ceil_pow2(Fraction(k * num, den)))
-            lo, hi = _pow2_bounds(Fraction(k * num, den), bits)
-    return out
+    width = math.isqrt(est + 1) + 1
+    rows = -(-(est + 1) // width)
+    cols = _float_powers(_pow2_bounds(delta, bits), width, bits)
+    lead = _float_powers(_pow2_bounds(width * delta, bits), rows, bits)
+    out = np.empty(rows * width, dtype=np.int64)
+    uncertain = []
+    block = max(1, (1 << 13) // width)  # rows per block of float products
+    for q in range(0, rows, block):
+        y = np.multiply.outer(lead[q:q + block], cols).ravel()
+        lo = np.ceil(y * (1 - _FLOAT_SLACK))
+        out[q * width:q * width + y.size] = lo
+        uncertain.append(q * width + np.flatnonzero(
+            lo != np.ceil(y * (1 + _FLOAT_SLACK))))
+    # 2^delta > 1 + 2^-26 under the entry guard, so the lower ends rise with
+    # k, and the first one above stop_above bounds the cut
+    end = min(int(np.searchsorted(out, stop_above, side="right")), len(out) - 1)
+    for k in np.concatenate(uncertain).tolist():
+        if k <= end:
+            out[k] = _exact_ceil_pow2(Fraction(k * num, den))
+    return out[:int(np.searchsorted(out[:end + 1], stop_above, side="right")) + 1]
 
 
 def delta_default(n):
@@ -165,11 +180,7 @@ class SegParams:
 
     def cell_top(self, k):
         """Largest integer with cell index <= k (0 when k < 0)."""
-        if k < 0:
-            return 0
-        if k + 1 < len(self.bounds):
-            return self.bounds[k + 1] - 1
-        return self._cell_floor_direct(k + 1) - 1
+        return self.cell_floor(k + 1) - 1
 
     def cell_floor(self, k):
         """Smallest integer with cell index >= k."""
@@ -177,9 +188,6 @@ class SegParams:
             return 1
         if k < len(self.bounds):
             return self.bounds[k]
-        return self._cell_floor_direct(k)
-
-    def _cell_floor_direct(self, k):
         return _exact_ceil_pow2(k * self.delta)
 
 
@@ -226,10 +234,11 @@ def make_params(n, delta, *, need_window=False):
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    bounds = _boundary_list(delta, 2 * n + 2)
+    table = _boundary_list(delta, 2 * n + 2)
+    bounds = table.tolist()
     top = bisect.bisect_right(bounds, n) - 1
     params = SegParams(n=n, delta=delta, top_cell=top, window=None,
-                       bounds=bounds, bounds_np=np.array(bounds, dtype=np.uint64))
+                       bounds=bounds, bounds_np=table.view(np.uint64))
     if need_window:
         params = replace(params, window=error_window_size(params))
     return params

@@ -49,16 +49,19 @@ class MuTable:
 
 
 def mu_up_to(limit):
-    """Sieve mu(n) for all n <= limit."""
-    if limit < 1:
-        raise ValueError("mu_up_to needs limit >= 1")
+    """Sieve mu(n) for all n <= limit by the primes p <= isqrt(limit) alone:
+    prod[m] keeps the product of those that divide m, and a square-free m
+    with prod[m] < m has one more prime factor, above isqrt(limit)."""
+    if not 1 <= limit < 1 << 31:
+        raise ValueError("mu_up_to needs 1 <= limit < 2^31")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(limit):
-        p = int(p)
+    prod = np.ones(limit + 1, dtype=np.int32)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p::p * p] = 0
+        prod[p::p] *= p
+        mu[p * p::p * p] = 0
+    np.negative(mu, out=mu, where=prod < np.arange(limit + 1, dtype=np.int32))
     return MuTable(mu)
 
 

@@ -170,6 +170,20 @@ def test_json_carries_the_triple_pairs(capsys):
     assert code == 0 and out == "212\n"
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once per process; each call parses afresh
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run_cli(capsys, "--json", "pi", "1000")
+    assert code == 0 and json.loads(out)["result"] == 168
+    code, out, _ = run_cli(capsys, "pi", "1000")
+    assert code == 0 and out == "168\n"
+    code, out, err = run_cli(capsys, "pi-mod", "1000", "--modulus", "4")
+    assert code == 2 and out == "" and "--residue" in err
+    code, out, err = run_cli(capsys, "pi-mod", "1000", "--modulus", "4",
+                             "--residue", "3")
+    assert (code, out, err) == (0, "87\n", "")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "pi")[0] == 2
     assert run_cli(capsys, "nonsense", "5")[0] == 2

@@ -180,14 +180,35 @@ def test_mertens_multi_many_thresholds():
 def test_mertens_bundles_carry_the_triple_pairs():
     # counting each triple by its largest factor walks about 2.2 (n + W)^(2/3)
     # pairs of the other two
-    for n in (10 ** 8, 10 ** 9):
+    for n, expect in ((10 ** 8, 441_909), (10 ** 9, 2_128_743)):
         bundle = primeconv.mertens_result(n)
         pairs = bundle.extra["triple_pairs"]
-        assert 0 < pairs <= 3 * (n + bundle.window) ** (2 / 3), (n, pairs)
-    for bundle in primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5], 1000):
-        params = segmentation.make_params(bundle.n, bundle.delta)
-        assert bundle.extra["triple_pairs"] == error_correction.triple_pairs(
-            params, 1000, sieve.mu_up_to(1000)), bundle.n
+        assert pairs == expect, (n, pairs)
+        assert pairs <= 3 * (n + bundle.window) ** (2 / 3), (n, pairs)
+    bundles = primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5], 1000)
+    assert [b.extra["triple_pairs"] for b in bundles] == [18_181, 9_036]
+
+
+def test_mertens_multi_walks_the_triples_once_per_threshold(monkeypatch):
+    built = []
+    walks = error_correction.triple_walks
+
+    def counted(params, trunc, mu_table):
+        built.append(params.n)
+        return walks(params, trunc, mu_table)
+
+    monkeypatch.setattr(error_correction, "triple_walks", counted)
+    ns = [10 ** 6, 500, 3 * 10 ** 5, 10 ** 6, 1000, 1001]
+    bundles = primeconv.mertens_multi(ns, 1000)
+    assert sorted(built) == [1001, 3 * 10 ** 5, 10 ** 6]
+    assert [b.value for b in bundles] == [
+        oracles.mertens_naive(n) for n in ns]
+    # the walk handed in is the walk triples_correction builds itself
+    params = segmentation.make_params(10 ** 6, bundles[0].delta)
+    mu = sieve.mu_up_to(1000)
+    assert (error_correction.triples_correction(params, 1000, mu)
+            == error_correction.triples_correction(
+                params, 1000, mu, walks(params, 1000, mu)))
 
 
 def test_n_up_to_one_takes_the_sieve_under_any_cutoff():

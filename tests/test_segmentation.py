@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primeconv import counting, oracles
 from primeconv import error_correction as ec
 from primeconv import segmentation as seg
 
@@ -227,3 +228,61 @@ def test_cell_tops_and_floors_consistent():
 def test_delta_one_boundaries_exact_powers():
     params = seg.make_params(2 ** 12, Fraction(1))
     assert params.bounds[:13] == [2 ** k for k in range(13)]
+
+
+def test_boundary_tables_match_the_oracle_cells():
+    # every entry b = bounds[k] up to 10^6 is the least integer in cell k or
+    # above, decided by the oracle's big-integer power comparisons
+    for delta in (Fraction(1, 48), Fraction(3, 64), Fraction(2, 25),
+                  Fraction(1, 1000)):
+        params = seg.make_params(10 ** 6, delta)
+        oracle = oracles.OracleCells(delta)
+        for k, b in enumerate(params.bounds):
+            if b > 10 ** 6:
+                break
+            assert oracle.cell(b) >= k, (delta, k, b)
+            assert b == 1 or oracle.cell(b - 1) < k, (delta, k, b)
+
+
+def pipeline_delta(n, scale=1):
+    return counting._pipeline_delta(n, counting.Config(delta_scale=scale))
+
+
+def test_boundary_tables_pinned_at_pipeline_deltas():
+    # (length, sum) of the tables to 2n + 2, read from the interval recurrence
+    # that built every entry one big-integer step at a time
+    cases = (
+        (10 ** 9, pipeline_delta(10 ** 9), 32_682, 3_053_934_778_471),
+        (10 ** 10, pipeline_delta(10 ** 10), 103_012, 86_882_900_419_665),
+        (10 ** 11, pipeline_delta(10 ** 11), 324_883, 2_497_163_723_527_536),
+        (10 ** 10, pipeline_delta(10 ** 10, Fraction(1, 2)), 206_022,
+         173_735_795_427_550),
+        (10 ** 10, pipeline_delta(10 ** 10, 3), 34_338, 28_967_635_571_457),
+        # the cell width of count_squarefree at 10^11
+        (10 ** 11, Fraction(1, 4642), 174_268, 1_339_639_620_347_098),
+    )
+    for n, delta, length, total in cases:
+        params = seg.make_params(n, delta)
+        assert (len(params.bounds), sum(params.bounds)) == (length, total), n
+        assert params.bounds_np.tolist() == params.bounds
+
+
+def test_boundary_fallback_takes_exact_powers_and_few_others(monkeypatch):
+    exponents = []
+    exact = seg._exact_ceil_pow2
+
+    def counted(exponent):
+        exponents.append(exponent)
+        return exact(exponent)
+
+    monkeypatch.setattr(seg, "_exact_ceil_pow2", counted)
+    # delta = 1/1000 puts the exact power 2^j at k = 1000 j; the float
+    # bound never settles an integer, so each one takes the fallback
+    bounds = seg._boundary_list(Fraction(1, 1000), 2 * 10 ** 6 + 2).tolist()
+    for k in range(0, len(bounds), 1000):
+        assert Fraction(k, 1000) in exponents, k
+        assert bounds[k] == 1 << (k // 1000)
+    for n in (10 ** 10, 10 ** 11):
+        exponents.clear()
+        seg.make_params(n, pipeline_delta(n))
+        assert 0 < len(exponents) <= 100, (n, len(exponents))

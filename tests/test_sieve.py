@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primeconv import oracles
 from primeconv import segmentation as seg
 from primeconv import sieve
 
@@ -72,6 +73,19 @@ def test_mu_table_examples():
         if n == 1:
             expect = 1
         assert big.values[n] == expect
+
+
+def test_mu_matches_the_naive_sieve():
+    # only the primes up to isqrt(limit) are sieved; a square-free m keeps one
+    # prime factor above it exactly when their product falls short of m.
+    # 121 = 11^2 and 10,403 = 101 * 103 sit where that rule turns
+    for limit in [*range(1, 2001), 121, 10_403, 10 ** 5, 316_228]:
+        assert np.array_equal(sieve.mu_up_to(limit).values,
+                              oracles.mu_naive(limit)), limit
+    with pytest.raises(ValueError):
+        sieve.mu_up_to(1 << 31)
+    with pytest.raises(ValueError):
+        sieve.mu_up_to(0)
 
 
 def test_mu_matches_factorizations():
