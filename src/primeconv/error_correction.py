@@ -290,12 +290,9 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
             # mu(m/d1) for each m = first + j * d1, 0 when (d1, m/d1) is no pair
             lookup[cells] = signs
             idx = code[first - (lo + 1)::d1]
-            if len(idx) > _GATHER_BLOCK:
-                sg = np.empty(len(idx), dtype=np.int8)
-                for a in range(0, len(idx), _GATHER_BLOCK):
-                    lookup.take(idx[a:a + _GATHER_BLOCK], out=sg[a:a + _GATHER_BLOCK])
-            else:
-                sg = lookup.take(idx)
+            sg = np.empty(len(idx), dtype=np.int8)
+            for a in range(0, len(idx), _GATHER_BLOCK):
+                lookup.take(idx[a:a + _GATHER_BLOCK], out=sg[a:a + _GATHER_BLOCK])
             lookup[cells] = 0
             if unit:
                 if modulus == 1:

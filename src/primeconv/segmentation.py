@@ -97,22 +97,21 @@ _FLOAT_SLACK = 2.0 ** -49  # relative error bound of a float boundary entry
 
 
 def _float_powers(step, count, bits):
-    """float64 of 2^(i x) for i < count: the lower ends of the directed
-    intervals on step^i, where step bounds 2^x scaled by 2^bits."""
-    s_lo, s_hi = step
-    lo = hi = 1 << bits
+    """float64 of 2^(i x) for i < count from lower bounds on step^i, where
+    step is a lower bound on 2^x scaled by 2^bits."""
+    lo = 1 << bits
     out = []
     for _ in range(count):
         out.append(float(lo))
-        lo, hi = (lo * s_lo) >> bits, ((hi * s_hi) >> bits) + 1
+        lo = (lo * step) >> bits
     return np.array(out) * 2.0 ** -bits
 
 
 def _boundary_list(delta, stop_above):
     """int64 array of ceil(2^(k*delta)), k = 0, 1, ..., to the first above
     stop_above. With k = q B + r and B about the square root of the length
-    K, intervals at 320 bits on 2^(q B delta) and 2^(r delta) (2 sqrt(K)
-    big-integer steps, each widening them by under 2^-300 relatively) round
+    K, lower bounds at 320 bits on 2^(q B delta) and 2^(r delta) (2 sqrt(K)
+    big-integer steps, each losing under 2^-300 relatively) round
     correctly to float64 factors A_q and C_r within 2^-53 + 2^-280 of the
     true powers. The IEEE product y_k = A_q C_r then lies within
     3 * 2^-53 + 2^-279 < 2^-51 of 2^(k delta), relatively, so y_k (1 -+
@@ -130,8 +129,8 @@ def _boundary_list(delta, stop_above):
     bits = 320
     width = math.isqrt(est + 1) + 1
     rows = -(-(est + 1) // width)
-    cols = _float_powers(_pow2_bounds(delta, bits), width, bits)
-    lead = _float_powers(_pow2_bounds(width * delta, bits), rows, bits)
+    cols = _float_powers(_pow2_bounds(delta, bits)[0], width, bits)
+    lead = _float_powers(_pow2_bounds(width * delta, bits)[0], rows, bits)
     out = np.empty(rows * width, dtype=np.int64)
     uncertain = []
     block = max(1, (1 << 13) // width)  # rows per block of float products
