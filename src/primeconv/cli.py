@@ -10,15 +10,12 @@ import argparse
 import functools
 import json as json_mod
 import math
-import os
 import statistics
 import sys
 import time
 from fractions import Fraction
 
 from . import counting, oracles
-
-ENV_PREFIX = "PRIMECONV_"
 
 # cli name -> (counting result function, oracle, the arguments after n that
 # both take), looked up by name at call time so that a replaced module
@@ -34,27 +31,26 @@ _COMMANDS = {
 }
 _FUNCTIONS = tuple(_COMMANDS)
 
-# the arguments after n of every bench call
+# the arguments after n of every bench call, and the largest n that --verify
+# checks against the oracle
 _BENCH_ARGUMENTS = {"power": 1, "modulus": 3, "residue": 1}
-
-
-def _env(name, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
+_VERIFY_CUTOFF = 20_000_000
 
 
 # built once per process, as parsing leaves it unchanged
 @functools.cache
 def _build_parser():
+    defaults = counting.DEFAULT_CONFIG
     parser = argparse.ArgumentParser(
         prog="primeconv",
         description="Exact prime counting and Mobius summation in about "
                     "square-root time via cell-array convolution.")
-    parser.add_argument("--delta-scale", default=None,
+    parser.add_argument("--delta-scale", default=defaults.delta_scale,
                         help="scale factor for the segmentation precision "
-                             "(rational, default 1)")
-    parser.add_argument("--threads", type=int, default=None,
+                             "(rational, default %(default)s)")
+    parser.add_argument("--threads", type=int, default=defaults.threads,
                         help="worker threads (default: available parallelism)")
-    parser.add_argument("--cutoff", type=int, default=None,
+    parser.add_argument("--cutoff", type=int, default=defaults.cutoff,
                         help="below this bound use the direct sieve")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of the bare result")
@@ -87,21 +83,13 @@ def _build_parser():
 
 
 def _config_from(args):
-    kwargs = {}
-    scale = args.delta_scale if args.delta_scale is not None else _env("DELTA_SCALE")
-    if scale is not None:
-        try:
-            kwargs["delta_scale"] = Fraction(scale)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"delta scale {scale!r} is not a rational number") from None
-    threads = args.threads if args.threads is not None else _env("THREADS")
-    if threads is not None:
-        kwargs["threads"] = int(threads)
-    cutoff = args.cutoff if args.cutoff is not None else _env("CUTOFF")
-    if cutoff is not None:
-        kwargs["cutoff"] = int(cutoff)
-    config = counting.Config(**kwargs)
+    try:
+        scale = Fraction(args.delta_scale)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"delta scale {args.delta_scale!r} is not a rational number") from None
+    config = counting.Config(delta_scale=scale, cutoff=args.cutoff,
+                             threads=args.threads)
     counting.check_config(config)
     return config
 
@@ -208,7 +196,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         bundle = _run_function(args.command, args.n, vars(args), config)
         elapsed = time.perf_counter() - t0
-        if args.verify and args.n <= int(_env("VERIFY_CUTOFF", "20000000")):
+        if args.verify and args.n <= _VERIFY_CUTOFF:
             expected = _run_oracle(args.command, args.n, vars(args), config)
             if expected != bundle.value:
                 print(f"verify mismatch: {args.command}({args.n}) = "

@@ -9,6 +9,8 @@ conditional subtraction. Final results are reconstructed by the CRT from as
 many pool primes as their range needs.
 """
 
+import functools
+
 import numpy as np
 
 # NTT-friendly primes with large power-of-two subgroups and known primitive
@@ -131,19 +133,12 @@ class NttContext:
         return f"NttContext(modulus={self.modulus}, length={self.length})"
 
 
-_context_cache = {}
-
-
+@functools.cache
 def get_context(modulus, length):
     """Cached NttContext; root derived from the known primitive root."""
-    key = (modulus, length)
-    ctx = _context_cache.get(key)
-    if ctx is None:
-        g = primitive_root(modulus)
-        root = pow(g, (modulus - 1) // length, modulus)
-        ctx = NttContext(modulus, length, root)
-        _context_cache[key] = ctx
-    return ctx
+    g = primitive_root(modulus)
+    root = pow(g, (modulus - 1) // length, modulus)
+    return NttContext(modulus, length, root)
 
 
 def _transform(values, ctx, tables):

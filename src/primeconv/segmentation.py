@@ -8,6 +8,7 @@ open, so cell_index is deterministic, non-decreasing, and exact.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,21 +38,15 @@ def _log2_bounds(n, bits):
     return (lo, lo + 1)
 
 
-_sqrt_chain_cache = {}
-
-
-def _sqrt_chain(bits, count):
-    """Directed bounds for 2^(2^-i), i = 1..count, scaled by 2^bits."""
-    cached = _sqrt_chain_cache.get(bits)
-    if cached is not None and len(cached) >= count:
-        return cached
+@functools.cache
+def _sqrt_chain(bits):
+    """Directed bounds for 2^(2^-i), i = 1..bits, scaled by 2^bits."""
     lo = hi = 2 << bits
     chain = []
-    for _ in range(count):
+    for _ in range(bits):
         lo = math.isqrt(lo << bits)
         hi = math.isqrt(hi << bits) + 1
         chain.append((lo, hi))
-    _sqrt_chain_cache[bits] = chain
     return chain
 
 
@@ -59,7 +54,7 @@ def _pow2_bounds(exponent, bits):
     """Directed bounds on 2^exponent * 2^bits for a non-negative Fraction."""
     den = exponent.denominator
     a, num = divmod(exponent.numerator, den)
-    chain = _sqrt_chain(bits, bits)
+    chain = _sqrt_chain(bits)
     lo = hi = 1 << bits
     for i in range(bits):
         num <<= 1

@@ -8,11 +8,10 @@ power costs one strided add into one packed int32 per integer, and
 smoothness is read off the cell sum alone.
 """
 
+import functools
 import math
 
 import numpy as np
-
-from . import segmentation
 
 _prime_cache = np.array([], dtype=np.int64)
 
@@ -39,13 +38,14 @@ class MuTable:
 
     def __init__(self, values):
         self.values = values
-        self._prefix = None
+
+    @functools.cached_property
+    def prefix(self):
+        return np.cumsum(self.values, dtype=np.int64)
 
     def prefix_sum(self, k):
         """Sum of mu(1..k)."""
-        if self._prefix is None:
-            self._prefix = np.cumsum(self.values.astype(np.int64))
-        return int(self._prefix[k])
+        return int(self.prefix[k])
 
 
 def mu_up_to(limit):
@@ -67,11 +67,6 @@ def mu_up_to(limit):
         part = mu[a:a + len(m)]
         np.negative(part, out=part, where=prod[a:a + len(m)] < m)
     return MuTable(mu)
-
-
-def prime_cell_indices(primes, params):
-    """cell_index of each prime (int64 array aligned with `primes`)."""
-    return segmentation.cell_index_vec(np.asarray(primes, dtype=np.uint64), params)
 
 
 # bits of a packed screen entry that hold the cell sum; the bits above count

@@ -207,7 +207,7 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and out == "", argv
 
 
-def test_invalid_config_fields_exit_2(capsys, monkeypatch):
+def test_invalid_config_fields_exit_2(capsys):
     # n below the cutoff: the check comes before the sieve fallback, and
     # each field goes through the same check as the library's
     for flag, value, field in (("--threads", "-2", "threads"),
@@ -216,13 +216,11 @@ def test_invalid_config_fields_exit_2(capsys, monkeypatch):
                                ("--delta-scale", "1/0", "delta scale")):
         code, _, err = run_cli(capsys, flag, value, "pi", "1000")
         assert code == 2 and field in err, (flag, value)
-    monkeypatch.setenv("PRIMECONV_THREADS", "-2")
-    code, _, err = run_cli(capsys, "mertens", "1000")
-    assert code == 2 and "threads" in err
-    monkeypatch.delenv("PRIMECONV_THREADS")
-    monkeypatch.setenv("PRIMECONV_DELTA_SCALE", "1/0")
-    code, _, err = run_cli(capsys, "pi", "1000")
-    assert code == 2 and "delta scale" in err
+
+
+def test_flags_default_to_the_config_fields():
+    args = cli._build_parser().parse_args(["pi", "1"])
+    assert cli._config_from(args) == counting.DEFAULT_CONFIG
 
 
 def test_coarse_delta_scale_answers(capsys):
@@ -263,14 +261,13 @@ def test_oracle_subcommand(capsys):
     assert code == 0 and out == "25\n"
 
 
-def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("PRIMECONV_CUTOFF", "10")
-    code, out, _ = run_cli(capsys, "--json", "pi", "2000")
+def test_cutoff_flag_picks_the_pipeline_or_the_sieve(capsys):
+    code, out, _ = run_cli(capsys, "--cutoff", "10", "--json", "pi", "2000")
     assert code == 0
     obj = json.loads(out)
     assert obj["delta"] is not None  # main path ran below the default cutoff
-    monkeypatch.setenv("PRIMECONV_CUTOFF", "1000000")
-    code, out, _ = run_cli(capsys, "--json", "pi", "2000")
+    code, out, _ = run_cli(capsys, "--cutoff", "1000000", "--json", "pi",
+                           "2000")
     obj = json.loads(out)
     assert obj["delta"] is None  # sieve fallback
 

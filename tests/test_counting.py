@@ -211,6 +211,32 @@ def test_mertens_multi_walks_the_triples_once_per_threshold(monkeypatch):
                 params, 1000, mu, walks(params, 1000, mu)))
 
 
+def test_mertens_multi_sums_mu_once_per_call(monkeypatch):
+    # every threshold's triple correction reads the one prefix array of the
+    # MuTable that mertens_multi hands it
+    sums = []  # lengths of the cumulative sums taken over mu values
+    cumsum = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        if np.asarray(a).dtype == np.int8:
+            sums.append(len(a))
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    ns = [10 ** 6, 3 * 10 ** 5, 2 * 10 ** 5]
+    bundles = primeconv.mertens_multi(ns, 1000)
+    assert sums == [1001]
+    assert [b.value for b in bundles] == [
+        oracles.mertens_naive(n) for n in ns]
+    # given a table whose prefix exists, triples_correction sums no mu
+    mu = sieve.mu_up_to(1000)
+    assert len(mu.prefix) == 1001
+    sums.clear()
+    params = segmentation.make_params(10 ** 6, bundles[0].delta)
+    error_correction.triples_correction(params, 1000, mu)
+    assert sums == []
+
+
 def test_n_up_to_one_takes_the_sieve_under_any_cutoff():
     # n <= 1 has no pipeline cell width, whatever the cutoff
     for cutoff in (0, 1):

@@ -2,6 +2,7 @@
 
 The oracles stay an independent second route to every value, and the
 production modules carry no code and no keyword that only the tests reach.
+No module reads the environment.
 """
 
 import ast
@@ -90,3 +91,20 @@ def test_keyword_only_parameters_are_passed_in_production():
     unset = [f"{mod}.{fn}({arg}=)" for mod, fn, arg in kwonly
              if arg not in passed.get(fn, ())]
     assert not unset, f"keyword-only parameters no production call passes: {unset}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from a Config field or a CLI flag, so an
+    # environment variable cannot change a result unnoticed
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [a.name for a in node.names]
+            else:
+                continue
+            reads += [f"{path.stem}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert not reads, f"environment reads: {reads}"

@@ -96,7 +96,9 @@ def test_plan_keeps_cofactors_small_and_codes_int16():
         assert plan.cofactors == (n + window) // (plan.split + 1) < bound, n
         primes = sieve.primes_up_to(bound)
         table, _, info = ec._stride_cofactors(
-            params, primes, sieve.prime_cell_indices(primes, params), plan, 1)
+            params, primes,
+            seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params),
+            plan, 1)
         assert table.dtype == np.int16, (n, table.shape)
         assert [d1 for d1, *_ in info] == sorted(d1 for d1, *_ in info)
 
@@ -148,7 +150,8 @@ def test_pair_table_reads_mu_of_the_cofactor():
     primes = sieve.primes_up_to(1000)
     lo, hi = 3 * 10 ** 5, 3 * 10 ** 5 + 20000
     smooth, kh, sign, _, excess = sieve.screen_chunk(
-        lo, hi, primes, sieve.prime_cell_indices(primes, params),
+        lo, hi, primes,
+        seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params),
         want_excess=True, excess_cap=d1_max + 1)
     top = int(np.median(kh[smooth]))
     mu = oracles.mu_naive(hi).astype(np.int64)

@@ -99,7 +99,7 @@ def test_mu_matches_factorizations():
 
 def _check_screen(params, bound, lo, hi, step, cap=(1 << 15) - 1):
     primes = sieve.primes_up_to(bound)
-    pcells = sieve.prime_cell_indices(primes, params)
+    pcells = seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params)
     smooth, kh, sign, sqfree, excess = sieve.screen_chunk(
         lo, hi, primes, pcells, want_excess=True, excess_cap=cap)
     for idx in range(0, hi - lo, step):
@@ -129,9 +129,10 @@ def test_screen_chunk_excess_saturates_at_its_cap(cap):
     # lie in the range, so 2^15 and 3^9 exceed the smaller caps
     params = seg.make_params(1 << 17, Fraction(1, 40))
     _check_screen(params, 300, 59_000, 66_000, 1, cap)
+    seven = sieve.primes_up_to(7)
     _, _, _, _, excess = sieve.screen_chunk(
-        0, 10, sieve.primes_up_to(7),
-        sieve.prime_cell_indices(sieve.primes_up_to(7), params),
+        0, 10, seven,
+        seg.cell_index_vec(np.asarray(seven, dtype=np.uint64), params),
         want_excess=True, excess_cap=cap)
     assert excess.dtype == (np.uint16 if cap < 1 << 15 else np.uint32)
 
@@ -165,7 +166,9 @@ def test_screen_chunk_coarsest_window_delta_smallest_bound():
     lo, hi = n - 1500, n + 1500
     two = sieve.primes_up_to(2)
     with pytest.raises(ValueError):
-        sieve.screen_chunk(lo, hi, two, sieve.prime_cell_indices(two, params))
+        sieve.screen_chunk(
+            lo, hi, two,
+            seg.cell_index_vec(np.asarray(two, dtype=np.uint64), params))
     _check_screen(params, 3, lo, hi, 1)
 
 
@@ -176,9 +179,10 @@ def test_screen_chunk_square_of_prime_above_bound():
     assert sieve.primes_up_to(q)[-2:].tolist() == [997, q]
     params = seg.make_params(1 << 21, Fraction(1, 40))
     lo = q * q - 100
+    primes = sieve.primes_up_to(1000)
     smooth, kh, *_ = sieve.screen_chunk(
-        lo, lo + 200, sieve.primes_up_to(1000),
-        sieve.prime_cell_indices(sieve.primes_up_to(1000), params))
+        lo, lo + 200, primes,
+        seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params))
     assert kh[q * q - lo - 1] == 0 and not smooth[q * q - lo - 1]
     _check_screen(params, 1000, lo, lo + 200, 1)
 
@@ -192,7 +196,8 @@ def test_screen_chunk_around_primorial_above_32_bits():
     lo = primorial - 40
     primes = sieve.primes_up_to(1000)
     smooth, _, sign, sqfree, _ = sieve.screen_chunk(
-        lo, lo + 80, primes, sieve.prime_cell_indices(primes, params))
+        lo, lo + 80, primes,
+        seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params))
     assert smooth[39] and sqfree[39] and sign[39] == 1
     _check_screen(params, 1000, lo, lo + 80, 1)
 
@@ -208,8 +213,9 @@ def test_screen_chunk_refuses_coarse_cells():
     params = seg.make_params(10 ** 6, Fraction(1, 4))
     primes = sieve.primes_up_to(100)
     with pytest.raises(ValueError):
-        sieve.screen_chunk(10 ** 6 - 100, 10 ** 6, primes,
-                           sieve.prime_cell_indices(primes, params))
+        sieve.screen_chunk(
+            10 ** 6 - 100, 10 ** 6, primes,
+            seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params))
     with pytest.raises(ValueError):
         sieve.screen_chunk(0, 10, primes[:0], primes[:0])
 
@@ -218,7 +224,7 @@ def test_screen_chunk_memory_per_entry():
     n = 10 ** 10
     params = seg.make_params(n, seg.delta_default(n))
     primes = sieve.primes_up_to(10 ** 5)
-    pcells = sieve.prime_cell_indices(primes, params)
+    pcells = seg.cell_index_vec(np.asarray(primes, dtype=np.uint64), params)
     size = 1 << 20
     # measured: 9.0 bytes per entry with the 16-bit excess (the packed int32,
     # the excess, the sign, square-free and smooth bytes) and 7.0 without
