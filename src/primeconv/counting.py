@@ -17,6 +17,7 @@ construction; inputs above MAX_N, or character moduli above
 MAX_CHARACTER_MODULUS, are refused.
 """
 
+import functools
 import math
 import os
 import time
@@ -37,7 +38,7 @@ class ModulusSupportError(Exception):
     the result's range."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     """Run-time settings shared by every public function.
 
@@ -48,7 +49,7 @@ class Config:
     the chunk length is a setting: each call takes the fewest pool primes,
     in pool order, whose product covers its result's proven range (see
     _select_moduli), and chunks sized from its window (see
-    error_correction.correction_plan).
+    error_correction.correction_plan). Frozen: it keys the pi-mod passes.
     """
     delta_scale: Fraction = Fraction(1)
     cutoff: int = 100_000
@@ -63,8 +64,6 @@ DEFAULT_CONFIG = Config()
 # the largest n and character modulus that any function accepts
 MAX_N = 10 ** 11
 MAX_CHARACTER_MODULUS = 10_000
-
-_char_pipeline_cache = {}
 
 
 @dataclass
@@ -155,28 +154,24 @@ def _pow_vec(vals, e, modulus):
     return out
 
 
-_lagrange_cache = {}
+@functools.cache
+def _lagrange_terms(ell, modulus):
+    """H_ell(i) / prod_{j != i} (i - j) mod p for i = 0..ell+1: the weights
+    of the interpolation nodes 0..ell+1 of H_ell."""
+    k = ell + 2
+    terms, acc = [], 0  # acc = H_ell(i)
+    for i in range(k):
+        den = (-1) ** (k - 1 - i) * math.factorial(i) * math.factorial(k - 1 - i)
+        terms.append(acc * pow(den % modulus, -1, modulus) % modulus)
+        acc = (acc + pow(i + 1, ell, modulus)) % modulus
+    return terms
 
 
 def _lagrange_prefix(xs, ell, modulus):
     """Power prefix sums via interpolation: H_ell has degree ell + 1, so it is
     determined by its values at 0..ell+1 and evaluated mod p anywhere."""
     k = ell + 2
-    key = (ell, modulus)
-    if key not in _lagrange_cache:
-        ys = np.zeros(k, dtype=np.uint64)
-        acc = 0
-        for i in range(1, k):
-            acc = (acc + pow(i, ell, modulus)) % modulus
-            ys[i] = acc
-        inv_den = np.zeros(k, dtype=np.uint64)
-        for i in range(k):
-            den = math.factorial(i) * math.factorial(k - 1 - i)
-            if (k - 1 - i) % 2:
-                den = -den
-            inv_den[i] = pow(den % modulus, -1, modulus)
-        _lagrange_cache[key] = (ys, inv_den)
-    ys, inv_den = _lagrange_cache[key]
+    terms = _lagrange_terms(ell, modulus)
     xm = modmath.mod(np.asarray(xs, dtype=np.uint64), modulus)
 
     def minus(i):  # (x - i) mod p: x + p - i lies below 2p
@@ -188,7 +183,7 @@ def _lagrange_prefix(xs, ell, modulus):
     suf = np.ones(len(xm), dtype=np.uint64)
     out = np.zeros(len(xm), dtype=np.uint64)
     for i in range(k - 1, -1, -1):
-        term = np.uint64(int(ys[i]) * int(inv_den[i]) % modulus)
+        term = np.uint64(terms[i])
         out += modmath.mod(modmath.mod(pre[i] * suf, modulus) * term, modulus)
         modmath.mod(out, modulus, out=out)
         suf = modmath.mod(suf * minus(i), modulus)
@@ -309,7 +304,7 @@ def _prefix_dot(arr, weights_mod, modulus):
 def _celltops_desc(params):
     """cell_top(top - k) for k = 0..top as an array (exact integers)."""
     top = params.top_cell
-    return params.bounds_np[1:top + 2][::-1] - 1
+    return params.bounds[1:top + 2][::-1] - 1
 
 
 def _pipeline(n, config, weights, moduli, **kwargs):
@@ -463,46 +458,45 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         return _sieve_result("pi-mod", n, oracles.pi_mod_naive, modulus,
                              residue,
                              extra={"modulus": modulus, "residue": residue})
+    counts, params, moduli, timings, extra = _residue_pass(n, modulus, config)
+    return ResultBundle("pi-mod", n, counts[residue], params.delta,
+                        params.window, moduli, dict(timings),
+                        {"modulus": modulus, "residue": residue, **extra})
+
+
+@functools.lru_cache(maxsize=8)
+def _residue_pass(n, modulus, config):
+    """({r: pi(n; modulus, r)} over r coprime to modulus > 1, params, moduli,
+    timings, extra) from one run of the character transforms and one
+    per-class correction pass: the residue enters only the combine. Every
+    residue reports the timings and counters of the pass it reads."""
     phi_m = math.prod((q - 1) * q ** (e - 1)
                       for q, e in modmath.factorize(modulus))
     moduli = _select_moduli(_result_bound("pi-mod", n), phi_m)
-    # the character transforms and the per-class correction depend on no
-    # residue, cutoff or thread count; cache them so that every residue of
-    # one modulus shares one transform run and one correction pass
-    key = (n, modulus, moduli, Fraction(config.delta_scale))
-    cached = _char_pipeline_cache.get(key)
-    if cached is None:
-        chars = _character_weights(modulus, moduli)
-        approx, classes, params, primes, timings, extra = _pipeline(
-            n, config, chars, moduli, modulus=modulus)
-        # a hit reports the chunk and worker counts of the pass that filled
-        # the entry
-        extra.update(smooth_mobius.transform_counters(primes, params, chars))
-        cached = (chars, approx, params, primes, classes, extra)
-        _char_pipeline_cache[key] = cached
-        # list() snapshots the keys at once; a concurrent eviction may have
-        # dropped one already
-        for old in list(_char_pipeline_cache)[:-8]:
-            _char_pipeline_cache.pop(old, None)
-    else:
-        timings = {}
-    chars, approx, params, primes, classes, extra = cached
+    chars = _character_weights(modulus, moduli)
+    approx, classes, params, primes, timings, extra = _pipeline(
+        n, config, chars, moduli, modulus=modulus)
+    extra.update(smooth_mobius.transform_counters(primes, params, chars))
     t0 = time.perf_counter()
-    r_inv = pow(residue, -1, modulus)
-    small = int(np.sum(np.asarray(primes, dtype=np.int64) % modulus == residue))
-    indicator = 1 if residue % modulus == 1 % modulus else 0
+    inv = error_correction._inverse_table(modulus)
+    units = np.flatnonzero(inv >= 0)
+    unit_inv = inv[units]
+    # the character sum of class r, less the class's pair correction,
+    # counts its primes in (isqrt(n), n] and, for r = 1, the integer 1
+    fixed = (np.bincount(primes % modulus, minlength=modulus)[units]
+             - np.array(classes, dtype=np.int64)[units] - (units == 1))
     residues = []
     for rows, p in zip(approx, moduli):
-        inv_phi = pow(phi_m, -1, p)
-        s = 0
-        for k, w in enumerate(chars):
-            s = (s + int(w.values_vec([r_inv], p)[0]) * rows[k]) % p
-        residues.append((s * inv_phi - classes[residue] - indicator + small) % p)
-    value = modmath.crt_combine(residues, moduli)
+        s = np.zeros(len(units), dtype=np.uint64)
+        for row, w in zip(rows, chars):
+            # each term is below 2^32, so fewer than 2^32 of them never wrap
+            s += modmath.mod(w.values_vec(unit_inv, p) * np.uint64(row), p)
+        s = modmath.mod(modmath.mod(s, p) * np.uint64(pow(phi_m, -1, p)), p)
+        residues.append((s.astype(np.int64) + fixed) % p)
+    counts = {r: modmath.crt_combine(col, moduli) for r, col in
+              zip(units.tolist(), zip(*(x.tolist() for x in residues)))}
     timings["combine"] = time.perf_counter() - t0
-    return ResultBundle("pi-mod", n, value, params.delta, params.window,
-                        moduli, timings,
-                        {"modulus": modulus, "residue": residue, **extra})
+    return counts, params, moduli, timings, extra
 
 
 def count_primes_mod(n, modulus, residue, config=None):

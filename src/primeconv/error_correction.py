@@ -229,7 +229,7 @@ def pairs_correction(params, bound, *, weight=None, moduli=None, modulus=1,
         return part
 
     def divisor_sums(d2, kd2, sd2):
-        cap = params.bounds_np[(top - kd2) + 1].astype(np.int64) - 1
+        cap = params.bounds[(top - kd2) + 1].astype(np.int64) - 1
         upper = np.minimum((n + window) // d2, cap)
         lower = n // d2
         # the cofactors of d2 are the k in (lower, upper]. Without this and the
@@ -472,7 +472,7 @@ def triples_correction(params, trunc, mu_table, plan=None):
     # kcells[-1], so no budget falls under -pad
     pad = top + 2 + 2 * int(kcells[-1])
     cap = np.concatenate([np.zeros(pad, dtype=np.int64),
-                          params.bounds_np[1:top + 2].astype(np.int64) - 1])
+                          params.bounds[1:top + 2].astype(np.int64) - 1])
     total = 0
     # d1 largest: rows a = vals[r], columns b = vals[j] <= a, d1 in
     # (max(n // q, a - 1), min(n_hi // q, cap)] for q = a b

@@ -7,7 +7,6 @@ exact fallback at adaptive precision for every entry the float bound leaves
 open, so cell_index is deterministic, non-decreasing, and exact.
 """
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -169,19 +168,18 @@ class SegParams:
     delta: Fraction
     top_cell: int
     window: int | None
-    bounds: list = field(repr=False)
-    bounds_np: np.ndarray = field(repr=False)
+    bounds: np.ndarray = field(repr=False)  # uint64 cell floors
 
     def cell_top(self, k):
         """Largest integer with cell index <= k (0 when k < 0)."""
         return self.cell_floor(k + 1) - 1
 
     def cell_floor(self, k):
-        """Smallest integer with cell index >= k."""
+        """Smallest integer with cell index >= k, as a Python int."""
         if k <= 0:
             return 1
         if k < len(self.bounds):
-            return self.bounds[k]
+            return int(self.bounds[k])
         return _exact_ceil_pow2(k * self.delta)
 
 
@@ -228,11 +226,10 @@ def make_params(n, delta, *, need_window=False):
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    table = _boundary_list(delta, 2 * n + 2)
-    bounds = table.tolist()
-    top = bisect.bisect_right(bounds, n) - 1
+    bounds = _boundary_list(delta, 2 * n + 2).view(np.uint64)
+    top = int(np.searchsorted(bounds, n, side="right")) - 1
     params = SegParams(n=n, delta=delta, top_cell=top, window=None,
-                       bounds=bounds, bounds_np=table.view(np.uint64))
+                       bounds=bounds)
     if need_window:
         params = replace(params, window=error_window_size(params))
     return params
@@ -242,11 +239,10 @@ def cell_index(n, params):
     """floor(log2(n) / delta): the cell that n falls into."""
     if n < 1:
         raise ValueError("cell_index needs n >= 1")
-    bounds = params.bounds
-    if n < bounds[-1]:
-        return bisect.bisect_right(bounds, n) - 1
+    if n < params.bounds[-1]:
+        return int(cell_index_vec(n, params))
     # beyond the precomputed table: search on exact boundaries
-    k = len(bounds) - 1
+    k = len(params.bounds) - 1
     step = 1
     while params.cell_floor(k + step) <= n:
         k += step
@@ -264,5 +260,5 @@ def cell_index_vec(values, params):
     The clamp (= top_cell + cushion) exceeds top_cell, so clamped entries can
     never satisfy a `<= top_cell - something` test; callers only compare.
     """
-    return np.searchsorted(params.bounds_np, values, side="right") - 1
+    return np.searchsorted(params.bounds, values, side="right") - 1
 

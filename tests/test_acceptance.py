@@ -245,7 +245,7 @@ def test_criterion_5_identity_suite(capsys):
             top = params.top_cell
             cells = [seg.cell_index(p, params) for p in primes]
             muhat = _enum_mobius_cells(primes, cells, top)
-            tops = (params.bounds_np[1:top + 2][::-1].astype(np.int64) - 1)
+            tops = (params.bounds[1:top + 2][::-1].astype(np.int64) - 1)
             segmented = int(np.sum(muhat * tops))
             # the window (n, 2n] lies inside the band's boundary table and
             # holds the scan's window

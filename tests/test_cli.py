@@ -58,8 +58,8 @@ def test_json_carries_transform_length_and_plain_output_does_not(
         return real(values, ctx)
 
     monkeypatch.setattr(modmath, "ntt_forward", counted)
-    counting._char_pipeline_cache.clear()
-    # the second pi-mod residue reuses the cached character pipeline
+    counting._residue_pass.cache_clear()
+    # the second pi-mod residue reuses the cached residue pass
     cases = ((["pi", str(n)], oracles.pi_naive(n)),
              (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1)),
              (["pi-mod", str(n), "--modulus", "4", "--residue", "1"],
@@ -105,7 +105,7 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
     # a window above error_correction._POOL_WINDOW, which a pool serves
     n = 4_000_000
     flags = ["--threads", "2"]
-    counting._char_pipeline_cache.clear()
+    counting._residue_pass.cache_clear()
     cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
              (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1), 2),
              (["pi-mod", str(n), "--modulus", "4", "--residue", "3"],
@@ -128,7 +128,7 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
 def test_json_carries_the_pair_split(capsys):
     # correction_split is the divisor split X and stride_cofactors the
     # largest stride cofactor d1_max = (n + S) // (X + 1), below isqrt(n)
-    counting._char_pipeline_cache.clear()
+    counting._residue_pass.cache_clear()
     for n, argv in ((200_000, ["pi"]), (10 ** 7, ["pi"]),
                     (10 ** 7, ["sum-primes", "--power", "1"]),
                     (10 ** 7, ["pi-mod", "--modulus", "4", "--residue", "1"])):

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -365,28 +367,70 @@ def test_coarse_delta_grid_is_exact_or_refused():
     assert exact >= refused > 0
 
 
-def test_cache_hit_reports_only_its_own_phases(monkeypatch):
-    counting._char_pipeline_cache.clear()
+def test_cache_hit_reports_the_pass_it_reads(monkeypatch):
+    # every residue of one (n, modulus, Config) reads one cached pass, and
+    # its bundle reports that pass's timings and counters
+    counting._residue_pass.cache_clear()
+    calls = []
+    for module, name in ((error_correction, "pairs_correction"),
+                         (modmath, "ntt_forward")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
     n = 2 * 10 ** 5 + 3
     first = counting.count_primes_mod_result(n, 4, 1)
+    assert calls.count("pairs_correction") == 1
+    assert calls.count("ntt_forward") > 0
+    ran = len(calls)
     second = counting.count_primes_mod_result(n, 4, 3)
-    assert {"convolution", "correction"} <= set(first.timings)
-    assert set(second.timings) == {"combine"}
-    assert first.value + second.value + 1 == primeconv.count_primes(n)
-    # the cached transforms and correction read neither the chunk length
-    # nor the cutoff; a hit reports the chunks and workers of the pass that
-    # filled the entry
-    monkeypatch.setattr(error_correction, "_auto_chunk", lambda total: 4096)
+    assert len(calls) == ran
+    assert {"convolution", "correction", "combine"} <= set(first.timings)
+    assert second.timings == first.timings
+    for key in ("correction_chunks", "correction_workers",
+                "forward_transforms"):
+        assert second.extra[key] == first.extra[key], key
+    assert second.extra == {**first.extra, "residue": 3}
+    assert first.value == oracles.pi_mod_naive(n, 4, 1)
+    assert second.value == oracles.pi_mod_naive(n, 4, 3)
+    # another Config runs a pass of its own, to the same value
     third = counting.count_primes_mod_result(
         n, 4, 3, counting.Config(cutoff=1000))
-    assert set(third.timings) == {"combine"}
+    assert calls.count("pairs_correction") == 2
     assert third.value == second.value
-    for key in ("correction_chunks", "correction_workers"):
-        assert third.extra[key] == first.extra[key], key
+
+
+def test_residue_pass_keeps_no_character_tables():
+    # the cached pass holds its class counts, not the phi x m character
+    # tables that produced them (2.6 MB at m = 512 when they were kept)
+    counting._residue_pass.cache_clear()
+    n, m = 200_003, 512
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = primeconv.count_primes_mod(n, m, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
+    counts = {r: primeconv.count_primes_mod(n, m, r)
+              for r in range(1, m, 2)}
+    assert counts[1] == first
+    for r, got in counts.items():
+        assert got == oracles.pi_mod_naive(n, m, r), r
+    # 2, the one prime outside the odd classes, is the +1
+    assert sum(counts.values()) + 1 == oracles.pi_naive(n)
+
+
+def test_default_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counting.DEFAULT_CONFIG.cutoff = 10
 
 
 def test_residues_of_one_modulus_share_one_correction_pass(monkeypatch):
-    counting._char_pipeline_cache.clear()
+    counting._residue_pass.cache_clear()
     calls = []
     real = error_correction.pairs_correction
 
@@ -405,7 +449,7 @@ def test_residues_of_one_modulus_share_one_correction_pass(monkeypatch):
 
 def test_char_cache_eviction_under_threads():
     # more keys than the cache holds, filled and evicted by racing threads
-    counting._char_pipeline_cache.clear()
+    counting._residue_pass.cache_clear()
     cfg = counting.Config(cutoff=500, threads=1)
     ns = list(range(2000, 2012))
     expect = {n: oracles.pi_mod_naive(n, 4, 3) for n in ns}
@@ -432,7 +476,7 @@ def test_char_cache_eviction_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert not errors
-    assert len(counting._char_pipeline_cache) <= 8
+    assert counting._residue_pass.cache_info().currsize <= 8
 
 
 def test_invalid_config_fields_rejected():
@@ -550,7 +594,7 @@ def test_thread_count_neutral_for_values(monkeypatch):
         for t in (1, 2, 4):
             for chunk in (auto, lambda total: 4096):
                 monkeypatch.setattr(error_correction, "_auto_chunk", chunk)
-                counting._char_pipeline_cache.clear()
+                counting._residue_pass.cache_clear()
                 vals.add(fn(n, *args, counting.Config(threads=t)))
         assert vals == {expect}, fn.__name__
 

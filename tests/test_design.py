@@ -2,7 +2,8 @@
 
 The oracles stay an independent second route to every value, and the
 production modules carry no code and no keyword that only the tests reach.
-No module reads the environment.
+No module reads the environment or keeps state in an empty module-level
+container.
 """
 
 import ast
@@ -108,3 +109,24 @@ def test_no_module_reads_the_environment():
             reads += [f"{path.stem}:{node.lineno} {name}" for name in names
                       if name in ("environ", "environb", "getenv", "getenvb")]
     assert not reads, f"environment reads: {reads}"
+
+
+def _empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def test_no_module_level_empty_containers():
+    # module state filled at run time, such as a hand-rolled cache, is kept
+    # by functools.cache or lru_cache instead, which bound and clear it
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in _tree(path).body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value is not None and _empty_container(node.value)]
+    assert not found, f"module-level empty containers: {found}"

@@ -227,7 +227,7 @@ def test_cell_tops_and_floors_consistent():
 
 def test_delta_one_boundaries_exact_powers():
     params = seg.make_params(2 ** 12, Fraction(1))
-    assert params.bounds[:13] == [2 ** k for k in range(13)]
+    assert params.bounds[:13].tolist() == [2 ** k for k in range(13)]
 
 
 def test_boundary_tables_match_the_oracle_cells():
@@ -237,7 +237,7 @@ def test_boundary_tables_match_the_oracle_cells():
                   Fraction(1, 1000)):
         params = seg.make_params(10 ** 6, delta)
         oracle = oracles.OracleCells(delta)
-        for k, b in enumerate(params.bounds):
+        for k, b in enumerate(params.bounds.tolist()):
             if b > 10 ** 6:
                 break
             assert oracle.cell(b) >= k, (delta, k, b)
@@ -263,8 +263,9 @@ def test_boundary_tables_pinned_at_pipeline_deltas():
     )
     for n, delta, length, total in cases:
         params = seg.make_params(n, delta)
-        assert (len(params.bounds), sum(params.bounds)) == (length, total), n
-        assert params.bounds_np.tolist() == params.bounds
+        bounds = params.bounds.tolist()
+        assert (len(bounds), sum(bounds)) == (length, total), n
+        assert params.bounds.dtype == np.uint64
 
 
 def test_boundary_fallback_takes_exact_powers_and_few_others(monkeypatch):

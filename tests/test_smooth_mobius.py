@@ -422,7 +422,7 @@ def test_character_powers_by_dilation(m):
         ref = character_mobius_cells(qs, params, chars[k], pair[0])
         assert np.array_equal(rows[k], ref), (m, k)
     config = counting.Config(cutoff=1000)
-    counting._char_pipeline_cache.clear()
+    counting._residue_pass.cache_clear()
     for r in range(m):
         if math.gcd(r, m) == 1:
             got = counting.count_primes_mod(n + 1, m, r, config)
