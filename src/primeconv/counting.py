@@ -470,9 +470,10 @@ def _residue_pass(n, modulus, config):
     timings, extra) from one run of the character transforms and one
     per-class correction pass: the residue enters only the combine. Every
     residue reports the timings and counters of the pass it reads."""
-    phi_m = math.prod((q - 1) * q ** (e - 1)
-                      for q, e in modmath.factorize(modulus))
-    moduli = _select_moduli(_result_bound("pi-mod", n), phi_m)
+    # phi(m) characters whose values have order dividing lambda(m)
+    orders = [o for _, o in _unit_group(modulus)]
+    phi_m = math.prod(orders)
+    moduli = _select_moduli(_result_bound("pi-mod", n), math.lcm(*orders))
     chars = _character_weights(modulus, moduli)
     approx, classes, params, primes, timings, extra = _pipeline(
         n, config, chars, moduli, modulus=modulus)
@@ -519,7 +520,7 @@ def mertens(n, config=None):
     return mertens_result(n, config).value
 
 
-def mertens_multi(ns, trunc, config=None, delta=None):
+def mertens_multi(ns, trunc, config=None):
     """Mertens values at several thresholds off one truncated convolution.
 
     Every threshold must satisfy n_i <= trunc^2; thresholds at or below the
@@ -548,8 +549,7 @@ def mertens_multi(ns, trunc, config=None, delta=None):
     if big:
         t0 = time.perf_counter()
         n_max = big[-1]
-        if delta is None:
-            delta = _pipeline_delta(n_max, config)
+        delta = _pipeline_delta(n_max, config)
         params_max = segmentation.make_params(n_max, delta)
         moduli = _select_moduli(_result_bound("mertens", n_max))
         # cell array of mu up to the truncation, exact then per-modulus
@@ -584,55 +584,50 @@ def mertens_multi(ns, trunc, config=None, delta=None):
     return [results[n_i] for n_i in ns]
 
 
-def _weighted_mertens(weights, mu, limit, config, delta=None):
+def _weighted_mertens(weights, config, timings):
     """(sum of w * M(x) over the thresholds x -> w of `weights`, the NTT
-    primes used). Thresholds up to `limit` read the prefix sums of the
-    MuTable mu; the rest share one mertens_multi call at the smallest
-    truncation T with every threshold <= T^2 (the triple correction of a
-    threshold x walks about 2.2 x^(2/3) pairs), whose primes are
-    those of the largest threshold (None without the call)."""
-    total = sum(mu.prefix_sum(x) * w for x, w in weights.items() if x <= limit)
+    primes used), recording the "sieve" and "mertens" phases in timings.
+    One sieve of mu up to L = min(x_max, max(cutoff, isqrt(x_max))) serves
+    the thresholds up to L; the rest share one mertens_multi call at the
+    smallest truncation T with every threshold <= T^2 (the triple
+    correction of a threshold x walks about 2.2 x^(2/3) pairs), whose
+    primes are those of the largest threshold (None without the call)."""
+    t0 = time.perf_counter()
+    x_max = max(weights)
+    limit = min(x_max, max(config.cutoff, math.isqrt(x_max)))
+    mu = sieve.mu_up_to(limit)
+    timings["sieve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    small = [x for x in weights if x <= limit]
+    total = sum(m * weights[x] for x, m in zip(small, mu.prefix[small].tolist()))
     big = sorted(x for x in weights if x > limit)
-    if not big:
-        return total, None
-    bundles = mertens_multi(big, math.isqrt(big[-1] - 1) + 1, config,
-                            delta=delta)
-    total += sum(b.value * weights[b.n] for b in bundles)
-    return total, bundles[-1].moduli
+    moduli = None
+    if big:
+        bundles = mertens_multi(big, math.isqrt(big[-1] - 1) + 1, config)
+        total += sum(b.value * weights[b.n] for b in bundles)
+        moduli = bundles[-1].moduli
+    timings["mertens"] = time.perf_counter() - t0
+    return total, moduli
 
 
 def count_squarefree_result(n, config=None):
-    """Exact count of square-free integers <= n."""
+    """Exact count of square-free integers <= n: Q(n) = sum over k <= isqrt(n)
+    of mu(k) floor(n / k^2), summed by parts as the sum over s <= isqrt(n)
+    of M(s) (floor(n / s^2) - floor(n / (s + 1)^2))."""
     config = config or DEFAULT_CONFIG
     check_arguments("squarefree", n, config)
     if _sieved(n, config):
         return _sieve_result("squarefree", n, oracles.sqfree_naive)
     timings = {}
     t0 = time.perf_counter()
-    # the float cube root lies within 1e-11 of the real one for n <= MAX_N,
-    # so it rounds to icbrt(n) or one above
-    d = round(n ** (1 / 3))
-    d -= d ** 3 > n
-    limit = max(d, min(config.cutoff, math.isqrt(n)))
-    mu = sieve.mu_up_to(limit)
-    timings["sieve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ks = np.arange(1, d + 1, dtype=np.int64)
-    quots = n // (ks * ks)
-    total = int(np.sum(mu.values[1:d + 1].astype(np.int64) * quots))
-    t_max = n // ((d + 1) * (d + 1))
-    total -= mu.prefix_sum(d) * t_max
-    counts = {}
-    for t in range(1, t_max + 1):
-        th = math.isqrt(n // t)
-        counts[th] = counts.get(th, 0) + 1
+    s = np.arange(1, math.isqrt(n) + 2, dtype=np.int64)
+    q = n // (s * s)
+    w = q[:-1] - q[1:]
+    keep = np.flatnonzero(w)
+    weights = dict(zip(s[keep].tolist(), w[keep].tolist()))
     timings["thresholds"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    delta = Fraction(1, max(d, 8 * max(2, (n - 1).bit_length())))
-    part, moduli = _weighted_mertens(counts, mu, limit, config, delta)
-    timings["mertens"] = time.perf_counter() - t0
-    return ResultBundle("squarefree", n, total + part, None, None, moduli,
-                        timings)
+    total, moduli = _weighted_mertens(weights, config, timings)
+    return ResultBundle("squarefree", n, total, None, None, moduli, timings)
 
 
 def count_squarefree(n, config=None):
@@ -647,10 +642,6 @@ def totient_sum_result(n, config=None):
         return _sieve_result("totient-sum", n, oracles.totient_sum_naive)
     timings = {}
     t0 = time.perf_counter()
-    limit = min(n, max(config.cutoff, math.isqrt(n)))
-    mu = sieve.mu_up_to(limit)
-    timings["sieve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     weights = {}
     k = 1
     while k <= n:
@@ -659,9 +650,7 @@ def totient_sum_result(n, config=None):
         weights[q] = (k + k2) * (k2 - k + 1) // 2
         k = k2 + 1
     timings["blocks"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    total, moduli = _weighted_mertens(weights, mu, limit, config)
-    timings["mertens"] = time.perf_counter() - t0
+    total, moduli = _weighted_mertens(weights, config, timings)
     return ResultBundle("totient-sum", n, total, None, None, moduli, timings)
 
 

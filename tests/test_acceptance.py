@@ -322,18 +322,24 @@ def test_criterion_7_delta_invariance(capsys):
     cfg_ns = sorted(rng.randrange(10 ** 3, 10 ** 6) for _ in range(20))
     pi_expect = oracles.pi_naive(cfg_ns[-1], cfg_ns)
     m_expect = oracles.mertens_naive(cfg_ns[-1], cfg_ns)
+    # square-free counts send their thresholds in (500, isqrt(n)] to
+    # mertens_multi, which takes the scaled pipeline delta
+    sq_expect = oracles.sqfree_naive(cfg_ns[-1], cfg_ns)
     bad = []
-    for n, pe, me in zip(cfg_ns, pi_expect, m_expect):
-        pis, ms = set(), set()
+    for n, pe, me, se in zip(cfg_ns, pi_expect, m_expect, sq_expect):
+        pis, ms, sqs = set(), set(), set()
         for j in range(10):
             scale = Fraction(1, 2) + Fraction(j, 9)
             cfg = counting.Config(delta_scale=scale, cutoff=500)
             pis.add(primeconv.count_primes(n, cfg))
             ms.add(primeconv.mertens(n, cfg))
+            sqs.add(primeconv.count_squarefree(n, cfg))
         if pis != {pe}:
             bad.append(("pi", n, sorted(pis)))
         if ms != {me}:
             bad.append(("mertens", n, sorted(ms)))
+        if sqs != {se}:
+            bad.append(("squarefree", n, sorted(sqs)))
     dt = time.perf_counter() - t0
     _report(capsys, 7, "delta invariance +-50% on 20 sizes", not bad,
             f"{dt:.0f}s" + (f", {bad[:2]}" if bad else ""))

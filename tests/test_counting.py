@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import math
 import random
 import sys
@@ -138,16 +139,30 @@ def test_count_primes_mod_cross_identity():
 
 
 def test_count_primes_mod_needs_compatible_pool():
-    # phi = 6 forces the pool primes whose orders include a factor of three
+    # lambda(7) = 6 forces the pool primes whose orders include a factor of
+    # three
     got = primeconv.count_primes_mod(2 * 10 ** 5, 7, 3, FAST)
     assert got == oracles.pi_mod_naive(2 * 10 ** 5, 7, 3)
-    # phi(11) = 10 divides p - 1 for one pool prime only: enough where one
+    # lambda(11) = 10 divides p - 1 for one pool prime only: enough where one
     # prime covers pi(n), and refused before any work where n needs two
     bundle = counting.count_primes_mod_result(2 * 10 ** 5, 11, 3, FAST)
     assert bundle.moduli == (modmath.NTT_PRIMES[0],)
     assert bundle.value == oracles.pi_mod_naive(2 * 10 ** 5, 11, 3)
     with pytest.raises(counting.ModulusSupportError):
         primeconv.count_primes_mod(10 ** 11, 11, 3, FAST)
+
+
+def test_count_primes_mod_selects_primes_by_the_character_exponent():
+    # (Z/63)* = C6 x C6: its 36 characters take sixth roots of unity, so
+    # the pool primes need 6 | p - 1 (lambda(63) = 6), not 36 | p - 1
+    n = 2 * 10 ** 5
+    counts = {r: primeconv.count_primes_mod(n, 63, r)
+              for r in range(63) if math.gcd(r, 63) == 1}
+    assert len(counts) == 36
+    for r, got in counts.items():
+        assert got == oracles.pi_mod_naive(n, 63, r), r
+    # the primes 3 and 7 divide 63
+    assert sum(counts.values()) + 2 == primeconv.count_primes(n)
 
 
 def test_mertens_examples_and_random():
@@ -265,19 +280,42 @@ def test_count_squarefree_examples_and_consistency():
     assert primeconv.count_squarefree(0) == 0
     assert primeconv.count_squarefree(20) == 13
     rng = random.Random(6)
-    for _ in range(4):
-        n = rng.randrange(600, 10 ** 6)
-        got = primeconv.count_squarefree(n, FAST)
-        # direct inclusion-exclusion over square divisors
-        mu = oracles.mu_naive(math.isqrt(n)).astype(np.int64)
-        direct = sum(int(mu[d]) * (n // (d * d))
-                     for d in range(1, math.isqrt(n) + 1))
-        assert got == direct == oracles.sqfree_naive(n), n
+    # cutoff 10 sieves mu below icbrt(n) and hands the thresholds above it
+    # to mertens_multi
+    for cfg in (FAST, counting.Config(cutoff=10)):
+        for _ in range(4):
+            n = rng.randrange(600, 10 ** 6)
+            got = primeconv.count_squarefree(n, cfg)
+            # direct inclusion-exclusion over square divisors
+            mu = oracles.mu_naive(math.isqrt(n)).astype(np.int64)
+            direct = sum(int(mu[d]) * (n // (d * d))
+                         for d in range(1, math.isqrt(n) + 1))
+            assert got == direct == oracles.sqfree_naive(n), (n, cfg)
     # OEIS A071172; the default config hands thresholds above the cutoff to
     # mertens_multi, a cutoff above sqrt(n) answers from the sieve alone
     assert primeconv.count_squarefree(10 ** 11) == 60792710280
     assert primeconv.count_squarefree(
         10 ** 11, counting.Config(cutoff=10 ** 6)) == 60792710280
+
+
+def test_squarefree_thresholds_take_the_pipeline_delta(monkeypatch):
+    # the thresholds above the mu sieve reach mertens_multi at the pipeline
+    # delta of the largest one, isqrt(10^11) = 316227, so delta_scale
+    # reaches them too
+    assert "delta" not in inspect.signature(primeconv.mertens_multi).parameters
+    deltas = []
+    make = segmentation.make_params
+
+    def recorded(n, delta, *args, **kwargs):
+        deltas.append(delta)
+        return make(n, delta, *args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "make_params", recorded)
+    for scale in (1, 2):
+        cfg = counting.Config(delta_scale=scale)
+        deltas.clear()
+        assert primeconv.count_squarefree(10 ** 11, cfg) == 60792710280
+        assert deltas == [counting._pipeline_delta(316227, cfg)], scale
 
 
 def test_totient_sum_examples_and_random():

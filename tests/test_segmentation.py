@@ -258,7 +258,7 @@ def test_boundary_tables_pinned_at_pipeline_deltas():
         (10 ** 10, pipeline_delta(10 ** 10, Fraction(1, 2)), 206_022,
          173_735_795_427_550),
         (10 ** 10, pipeline_delta(10 ** 10, 3), 34_338, 28_967_635_571_457),
-        # the cell width of count_squarefree at 10^11
+        # a fine unit-fraction width, coarser than the pipeline's at 10^11
         (10 ** 11, Fraction(1, 4642), 174_268, 1_339_639_620_347_098),
     )
     for n, delta, length, total in cases:
