@@ -12,9 +12,8 @@ allows (see _result_bound and _select_moduli). The correction window comes
 from the cell scan of segmentation.error_window_size alone, which puts no
 bound on delta * log2(n): every delta that the boundary table, the
 transforms and the screen accept gives an exact value. Inputs below
-Config.cutoff fall back to the direct sieves in oracles, which are exact by
-construction; inputs above MAX_N, or character moduli above
-MAX_CHARACTER_MODULUS, are refused.
+Config.cutoff are read off the prime and Mobius sieves of `sieve`; inputs
+above MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are refused.
 """
 
 import functools
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import error_correction, modmath, oracles, segmentation, sieve, smooth_mobius
+from . import error_correction, modmath, segmentation, sieve, smooth_mobius
 
 
 class ResultRangeError(Exception):
@@ -42,8 +41,8 @@ class ModulusSupportError(Exception):
 class Config:
     """Run-time settings shared by every public function.
 
-    delta_scale scales the segmentation precision; inputs below cutoff go to
-    the direct sieves in oracles; threads (0 = available parallelism) caps
+    delta_scale scales the segmentation precision; inputs below cutoff are
+    read off the sieves of `sieve`; threads (0 = available parallelism) caps
     the pool that runs the correction's chunk jobs beside the transforms.
     No value depends on delta_scale or threads. Neither the NTT primes nor
     the chunk length is a setting: each call takes the fewest pool primes,
@@ -220,8 +219,9 @@ def _character_weights(m, moduli):
     Unit j is prod_i g_i^(a_ij) over the cyclic factors (g_i, o_i) of (Z/m)*,
     the first factor's digit varying fastest, and character k maps unit j to
     zeta^(sum_i a_ik a_ij E / o_i) for zeta a primitive E-th root of unity
-    mod p, E = lcm(o_i). Each prime fills its phi x m value table with one
-    gather from the powers of zeta and its prefix table with one cumsum; the
+    mod p, E = lcm(o_i). Each prime fills its phi x m value table from the
+    powers of zeta, one gather per block of about 2^16 exponents, so no
+    phi x phi array is held, and its prefix table with one cumsum; the
     weights hold row views of both.
     """
     comps = _unit_group(m)
@@ -233,18 +233,21 @@ def _character_weights(m, moduli):
                             np.repeat(np.arange(o), len(units))])
         units = (np.outer(powers, units) % m).ravel()
     order = math.lcm(*(o for _, o in comps))
-    exps = np.zeros((len(units), len(units)), dtype=np.int64)
-    for row, (_, o) in zip(digits, comps):
-        exps = (exps + np.outer(row * (order // o), row)) % order
-    tables, prefixes = {}, {}
-    for p in moduli:
-        zeta = pow(modmath.primitive_root(p), (p - 1) // order, p)
-        tab = np.zeros((len(units), m), dtype=np.uint64)
-        tab[:, units] = modmath.power_table(zeta, order, p)[exps]
+    zetas = {p: modmath.power_table(
+        pow(modmath.primitive_root(p), (p - 1) // order, p), order, p)
+        for p in moduli}
+    tables = {p: np.zeros((len(units), m), dtype=np.uint64) for p in moduli}
+    step = max(1, (1 << 16) // len(units))
+    for k in range(0, len(units), step):
+        exps = sum(np.outer(row[k:k + step] * (order // o), row)
+                   for row, (_, o) in zip(digits, comps)) % order
+        for p in moduli:
+            tables[p][k:k + step, units] = zetas[p][exps]
+    prefixes = {}
+    for p, tab in tables.items():
         # entries are below 2^32, so no row sum reaches 2^64 while m < 2^32
-        pre = np.cumsum(tab, axis=1)
-        pre %= np.uint64(p)
-        tables[p], prefixes[p] = tab, pre
+        prefixes[p] = np.cumsum(tab, axis=1)
+        prefixes[p] %= np.uint64(p)
     orders = [o for _, o in comps]
     return [MultiplicativeWeight(
         "character", char_mod=m,
@@ -354,11 +357,11 @@ def _sieved(n, config):
     return n < max(config.cutoff, 2)
 
 
-def _sieve_result(function, n, oracle, *args, extra=None):
-    """The bundle of oracle(n, *args), a direct sieve of oracles, for an
-    input that _sieved sends to it."""
+def _sieve_result(function, n, total, extra=None):
+    """The bundle of total(primes up to n), for an input that _sieved keeps
+    off the pipeline."""
     t0 = time.perf_counter()
-    value = oracle(n, *args)
+    value = total(sieve.primes_up_to(n))
     return ResultBundle(function, n, value, None, None, None,
                         {"sieve": time.perf_counter() - t0}, extra or {})
 
@@ -388,7 +391,7 @@ def count_primes_result(n, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("pi", n, config)
     if _sieved(n, config):
-        return _sieve_result("pi", n, oracles.pi_naive)
+        return _sieve_result("pi", n, len)
     return _prime_sum_result("pi", n, MultiplicativeWeight.power(0), config, {})
 
 
@@ -402,8 +405,10 @@ def sum_over_primes_result(n, power=1, config=None):
     check_arguments("sum-primes", n, config, power=power)
     weight = MultiplicativeWeight.power(power)
     if _sieved(n, config):
-        return _sieve_result("sum-primes", n, oracles.sum_primes_naive, power,
-                             extra={"power": power})
+        # Python ints: p^16 overflows int64 from p = 17
+        return _sieve_result(
+            "sum-primes", n, lambda ps: sum(p ** power for p in ps.tolist()),
+            extra={"power": power})
     return _prime_sum_result("sum-primes", n, weight, config, {"power": power})
 
 
@@ -455,9 +460,10 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         return bundle
     residue %= modulus
     if _sieved(n, config):
-        return _sieve_result("pi-mod", n, oracles.pi_mod_naive, modulus,
-                             residue,
-                             extra={"modulus": modulus, "residue": residue})
+        return _sieve_result(
+            "pi-mod", n,
+            lambda ps: int(np.count_nonzero(ps % modulus == residue)),
+            extra={"modulus": modulus, "residue": residue})
     counts, params, moduli, timings, extra = _residue_pass(n, modulus, config)
     return ResultBundle("pi-mod", n, counts[residue], params.delta,
                         params.window, moduli, dict(timings),
@@ -508,10 +514,9 @@ def mertens_result(n, config=None):
     """Exact Mertens function: sum of mu(k) for k <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("mertens", n, config)
-    if _sieved(n, config):
-        return _sieve_result("mertens", n, oracles.mertens_naive)
-    values = mertens_multi([n], math.isqrt(n - 1) + 1, config)
-    bundle = values[0]
+    # below the cutoff n is its own truncation: M(n) is read off the mu sieve
+    trunc = max(n, 1) if _sieved(n, config) else math.isqrt(n - 1) + 1
+    bundle = mertens_multi([n], trunc, config)[0]
     bundle.function = "mertens"
     return bundle
 
@@ -593,7 +598,7 @@ def _weighted_mertens(weights, config, timings):
     correction of a threshold x walks about 2.2 x^(2/3) pairs), whose
     primes are those of the largest threshold (None without the call)."""
     t0 = time.perf_counter()
-    x_max = max(weights)
+    x_max = max(weights, default=1)
     limit = min(x_max, max(config.cutoff, math.isqrt(x_max)))
     mu = sieve.mu_up_to(limit)
     timings["sieve"] = time.perf_counter() - t0
@@ -616,8 +621,6 @@ def count_squarefree_result(n, config=None):
     of M(s) (floor(n / s^2) - floor(n / (s + 1)^2))."""
     config = config or DEFAULT_CONFIG
     check_arguments("squarefree", n, config)
-    if _sieved(n, config):
-        return _sieve_result("squarefree", n, oracles.sqfree_naive)
     timings = {}
     t0 = time.perf_counter()
     s = np.arange(1, math.isqrt(n) + 2, dtype=np.int64)
@@ -638,8 +641,6 @@ def totient_sum_result(n, config=None):
     """Exact totient summatory function: sum of phi(k) for k <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("totient-sum", n, config)
-    if _sieved(n, config):
-        return _sieve_result("totient-sum", n, oracles.totient_sum_naive)
     timings = {}
     t0 = time.perf_counter()
     weights = {}

@@ -17,20 +17,23 @@ _prime_cache = np.array([], dtype=np.int64)
 
 
 def primes_up_to(limit):
-    """Ascending array of all primes <= limit (cached, grow-only)."""
+    """Ascending array of all primes <= limit (cached, grow-only). Reads the
+    cache once, as another thread may store a shorter sieve meanwhile."""
     global _prime_cache
     if limit < 2:
         return np.array([], dtype=np.int64)
-    if len(_prime_cache) == 0 or _prime_cache[-1] < limit:
+    primes = _prime_cache
+    if len(primes) == 0 or primes[-1] < limit:
         span = max(int(limit), 1000)
         sieve = np.ones(span + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(span) + 1):
             if sieve[p]:
                 sieve[p * p::p] = False
-        _prime_cache = np.nonzero(sieve)[0].astype(np.int64)
-    cut = np.searchsorted(_prime_cache, limit, side="right")
-    return _prime_cache[:cut]
+        primes = np.nonzero(sieve)[0].astype(np.int64)
+        if len(primes) > len(_prime_cache):
+            _prime_cache = primes
+    return primes[:np.searchsorted(primes, limit, side="right")]
 
 
 class MuTable:

@@ -269,6 +269,36 @@ def test_n_up_to_one_takes_the_sieve_under_any_cutoff():
         assert primeconv.count_primes(2, cfg) == 1
 
 
+def test_every_function_answers_without_the_oracles(monkeypatch):
+    # below the cutoff the production sieves answer, so the oracles stay a
+    # second route: a call that reached one would raise here
+    ns = (0, 1, 2, 1000, 99_999)
+    cases = [(primeconv.count_primes, (), oracles.pi_naive),
+             (primeconv.sum_over_primes, (1,), oracles.sum_primes_naive),
+             (primeconv.sum_over_primes, (16,), oracles.sum_primes_naive),
+             (primeconv.count_primes_mod, (60, 7), oracles.pi_mod_naive),
+             (primeconv.count_primes_mod, (1, 0), oracles.pi_mod_naive),
+             (primeconv.mertens, (), oracles.mertens_naive),
+             (lambda n, config=None: primeconv.mertens_multi(
+                 [n], max(n, 1), config)[0].value, (), oracles.mertens_naive),
+             (primeconv.count_squarefree, (), oracles.sqfree_naive),
+             (primeconv.totient_sum, (), oracles.totient_sum_naive)]
+    expect = [[oracle(n, *args) for n in ns] for _, args, oracle in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("production code called an oracle")
+
+    for name, obj in vars(oracles).items():
+        if inspect.isfunction(obj) and obj.__module__ == oracles.__name__:
+            monkeypatch.setattr(oracles, name, refuse)
+    for (fn, args, _), values in zip(cases, expect):
+        for n, value in zip(ns, values):
+            assert fn(n, *args) == value, (fn.__name__, args, n)
+            for cutoff in (0, 1) if n <= 1 else ():
+                got = fn(n, *args, counting.Config(cutoff=cutoff))
+                assert got == value, (fn.__name__, args, n, cutoff)
+
+
 def test_mertens_published_values():
     # OEIS A084237
     assert primeconv.mertens(10 ** 8) == 1928
@@ -616,6 +646,27 @@ def test_character_tables_are_characters_at_1024():
         assert len(np.unique(tab, axis=0)) == phi
     # the principal character has ell = 0 too, but it is not the unit weight
     assert not chars[0].is_unit
+
+
+def test_character_tables_peak_near_what_they_keep():
+    # the exponents and their gather are built a block of characters at a
+    # time, so no phi x phi array (phi = 1932 at m = 2303) rises above the
+    # phi x m value and prefix tables; lambda(2303) = 966 divides p - 1 for
+    # no pool prime, so the test takes the first prime above 2^31 that it
+    # divides
+    m, order = 2303, 966
+    p = next(p for p in range(order * (2 ** 31 // order + 1) + 1, 2 ** 32, order)
+             if modmath.factorize(p) == [(p, 1)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chars = counting._character_weights(m, (p,))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chars) == 1932
+    assert held >= 2 * 1932 * m * 8  # the two tables
+    assert peak <= 1.1 * held, (held, peak)
 
 
 def test_thread_count_neutral_for_values(monkeypatch):

@@ -1,6 +1,7 @@
 """Source-level guards on the package layout, read with `ast` only.
 
-The oracles stay an independent second route to every value, and the
+The oracles stay an independent second route to every value: they import
+nothing from the package, and no production module imports them. The
 production modules carry no code and no keyword that only the tests reach.
 No module reads the environment or keeps state in an empty module-level
 container.
@@ -20,16 +21,33 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_oracles_import_nothing_from_the_package():
+def _package_imports(path):
+    """Each dotted part and each imported name of the imports of `path`
+    that reach into the package: `from . import a, b` gives "", a and b."""
     imported = []
-    for node in ast.walk(_tree(SRC / "oracles.py")):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom):
             if node.level or (node.module or "").split(".")[0] == "primeconv":
-                imported.append(node.module or ".")
+                imported += ((node.module or "").split(".")
+                             + [a.name for a in node.names])
         elif isinstance(node, ast.Import):
-            imported += [a.name for a in node.names
+            imported += [part for a in node.names for part in a.name.split(".")
                          if a.name.split(".")[0] == "primeconv"]
-    assert not imported
+    return imported
+
+
+def test_oracles_import_nothing_from_the_package():
+    assert not _package_imports(SRC / "oracles.py")
+
+
+def test_no_production_module_imports_the_oracles():
+    # the oracles are the second route to every value only while the
+    # production code answers every n without them; the cli reaches them
+    # for the oracle subcommand and --verify
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if path.stem not in ("oracles", "cli")
+                 and "oracles" in _package_imports(path)]
+    assert not importers, f"production modules importing oracles: {importers}"
 
 
 def test_production_functions_have_a_caller():

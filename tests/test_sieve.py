@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +52,39 @@ def test_primes_up_to_examples():
     assert sieve.primes_up_to(10).tolist() == [2, 3, 5, 7]
     assert sieve.primes_up_to(1).tolist() == []
     assert sieve.primes_up_to(2).tolist() == [2]
+
+
+def test_primes_up_to_is_whole_under_threads(monkeypatch):
+    # rounds of four threads that sieve at once from a cold cache, switching
+    # every microsecond: a call must not slice a shorter sieve that another
+    # thread stored after this call found the cache too short
+    whole = sieve.primes_up_to(400_000).copy()
+    rng = random.Random(11)
+    bad = []
+
+    def call(limit):
+        got = sieve.primes_up_to(limit)
+        cut = np.searchsorted(whole, limit, side="right")
+        if not np.array_equal(got, whole[:cut]):
+            bad.append((limit, len(got), int(cut)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(1000):
+            monkeypatch.setattr(sieve, "_prime_cache",
+                                np.array([], dtype=np.int64))
+            threads = [threading.Thread(target=call, args=(
+                int(10 ** rng.uniform(3, math.log10(4e5))),))
+                for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not bad, bad[:5]
 
 
 def test_primes_up_to_1e6_count_two_routes():
