@@ -40,18 +40,14 @@ _VERIFY_CUTOFF = 20_000_000
 # built once per process, as parsing leaves it unchanged
 @functools.cache
 def _build_parser():
-    defaults = counting.DEFAULT_CONFIG
     parser = argparse.ArgumentParser(
         prog="primeconv",
         description="Exact prime counting and Mobius summation in about "
                     "square-root time via cell-array convolution.")
-    parser.add_argument("--delta-scale", default=defaults.delta_scale,
+    parser.add_argument("--delta-scale",
+                        default=counting.DEFAULT_CONFIG.delta_scale,
                         help="scale factor for the segmentation precision "
                              "(rational, default %(default)s)")
-    parser.add_argument("--threads", type=int, default=defaults.threads,
-                        help="worker threads (default: available parallelism)")
-    parser.add_argument("--cutoff", type=int, default=defaults.cutoff,
-                        help="below this bound use the direct sieve")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of the bare result")
     parser.add_argument("--verify", action="store_true",
@@ -88,8 +84,7 @@ def _config_from(args):
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"delta scale {args.delta_scale!r} is not a rational number") from None
-    config = counting.Config(delta_scale=scale, cutoff=args.cutoff,
-                             threads=args.threads)
+    config = counting.Config(delta_scale=scale)
     counting.check_config(config)
     return config
 

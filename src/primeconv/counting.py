@@ -12,8 +12,10 @@ allows (see _result_bound and _select_moduli). The correction window comes
 from the cell scan of segmentation.error_window_size alone, which puts no
 bound on delta * log2(n): every delta that the boundary table, the
 transforms and the screen accept gives an exact value. Inputs below
-Config.cutoff are read off the prime and Mobius sieves of `sieve`; inputs
-above MAX_N, or character moduli above MAX_CHARACTER_MODULUS, are refused.
+Config.cutoff, a constant, are read off the prime and Mobius sieves of
+`sieve`; inputs above MAX_N, or character moduli above
+MAX_CHARACTER_MODULUS, are refused. Each call sizes its worker pool from
+os.cpu_count().
 """
 
 import functools
@@ -22,6 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,21 +44,17 @@ class ModulusSupportError(Exception):
 class Config:
     """Run-time settings shared by every public function.
 
-    delta_scale scales the segmentation precision; inputs below cutoff are
-    read off the sieves of `sieve`; threads (0 = available parallelism) caps
-    the pool that runs the correction's chunk jobs beside the transforms.
-    No value depends on delta_scale or threads. Neither the NTT primes nor
-    the chunk length is a setting: each call takes the fewest pool primes,
-    in pool order, whose product covers its result's proven range (see
-    _select_moduli), and chunks sized from its window (see
-    error_correction.correction_plan). Frozen: it keys the pi-mod passes.
+    delta_scale, the one field, scales the segmentation precision; no value
+    depends on it. Inputs below the class constant cutoff are read off the
+    sieves of `sieve`. Neither the NTT primes, the chunk length nor the
+    worker count is a setting: each call takes the fewest pool primes, in
+    pool order, whose product covers its result's proven range (see
+    _select_moduli), and chunks and workers sized from its window and
+    os.cpu_count() (see error_correction.correction_plan). Frozen: it keys
+    the pi-mod passes.
     """
     delta_scale: Fraction = Fraction(1)
-    cutoff: int = 100_000
-    threads: int = 0
-
-    def resolved_threads(self):
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+    cutoff: ClassVar[int] = 100_000
 
 
 DEFAULT_CONFIG = Config()
@@ -269,10 +268,6 @@ def _pipeline_delta(n, config):
 
 def check_config(config):
     """Refuse a Config that no run could honour, whatever n is."""
-    if config.threads < 0:
-        raise ValueError("threads must be non-negative")
-    if config.cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
     if Fraction(config.delta_scale) <= 0:
         raise ValueError("delta scale must be positive")
 
@@ -329,7 +324,7 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     timings["primes"] = time.perf_counter() - t0
     celltops = _celltops_desc(params)
     plan = error_correction.correction_plan(
-        params, bound, config.resolved_threads(), len(moduli))
+        params, bound, os.cpu_count() or 1, len(moduli))
 
     def one_modulus(p):
         mob = smooth_mobius.smooth_mobius_cells(primes, params, p,
@@ -352,9 +347,9 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     return approx, corr, params, primes, timings, counts
 
 
-def _sieved(n, config):
-    # below the cutoff, or n <= 1, which has no pipeline cell width
-    return n < max(config.cutoff, 2)
+def _sieved(n):
+    # n <= 1, which has no pipeline cell width, lies below the cutoff
+    return n < Config.cutoff
 
 
 def _sieve_result(function, n, total, extra=None):
@@ -390,7 +385,7 @@ def count_primes_result(n, config=None):
     """Exact number of primes <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("pi", n, config)
-    if _sieved(n, config):
+    if _sieved(n):
         return _sieve_result("pi", n, len)
     return _prime_sum_result("pi", n, MultiplicativeWeight.power(0), config, {})
 
@@ -404,7 +399,7 @@ def sum_over_primes_result(n, power=1, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("sum-primes", n, config, power=power)
     weight = MultiplicativeWeight.power(power)
-    if _sieved(n, config):
+    if _sieved(n):
         # Python ints: p^16 overflows int64 from p = 17
         return _sieve_result(
             "sum-primes", n, lambda ps: sum(p ** power for p in ps.tolist()),
@@ -459,7 +454,7 @@ def count_primes_mod_result(n, modulus, residue, config=None):
         bundle.extra.update({"modulus": 1, "residue": 0})
         return bundle
     residue %= modulus
-    if _sieved(n, config):
+    if _sieved(n):
         return _sieve_result(
             "pi-mod", n,
             lambda ps: int(np.count_nonzero(ps % modulus == residue)),
@@ -515,7 +510,7 @@ def mertens_result(n, config=None):
     config = config or DEFAULT_CONFIG
     check_arguments("mertens", n, config)
     # below the cutoff n is its own truncation: M(n) is read off the mu sieve
-    trunc = max(n, 1) if _sieved(n, config) else math.isqrt(n - 1) + 1
+    trunc = max(n, 1) if _sieved(n) else math.isqrt(n - 1) + 1
     bundle = mertens_multi([n], trunc, config)[0]
     bundle.function = "mertens"
     return bundle
@@ -599,7 +594,7 @@ def _weighted_mertens(weights, config, timings):
     primes are those of the largest threshold (None without the call)."""
     t0 = time.perf_counter()
     x_max = max(weights, default=1)
-    limit = min(x_max, max(config.cutoff, math.isqrt(x_max)))
+    limit = min(x_max, max(Config.cutoff, math.isqrt(x_max)))
     mu = sieve.mu_up_to(limit)
     timings["sieve"] = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -15,16 +15,23 @@ import numpy as np
 
 _prime_cache = np.array([], dtype=np.int64)
 
+# no two consecutive primes below 4 * 10^18 lie more than 1476 apart
+# (Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014)), so a sieve
+# that runs this far past a limit finds a prime above it
+_PRIME_GAP = 1476
+
 
 def primes_up_to(limit):
-    """Ascending array of all primes <= limit (cached, grow-only). Reads the
-    cache once, as another thread may store a shorter sieve meanwhile."""
+    """Ascending array of all primes <= limit (cached, grow-only). A sieve
+    runs _PRIME_GAP past its limit, so the cache ends with a prime above
+    that limit and a later call at the same limit reads it. Reads the cache
+    once, as another thread may store a shorter sieve meanwhile."""
     global _prime_cache
     if limit < 2:
         return np.array([], dtype=np.int64)
     primes = _prime_cache
     if len(primes) == 0 or primes[-1] < limit:
-        span = max(int(limit), 1000)
+        span = max(int(limit), 1000) + _PRIME_GAP
         sieve = np.ones(span + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(span) + 1):

@@ -316,7 +316,7 @@ def test_criterion_6_newton_suite(capsys):
             f"{dt:.0f}s" + (f", {bad[:3]}" if bad else ""))
 
 
-def test_criterion_7_delta_invariance(capsys):
+def test_criterion_7_delta_invariance(capsys, cutoff):
     t0 = time.perf_counter()
     rng = random.Random(1618)
     cfg_ns = sorted(rng.randrange(10 ** 3, 10 ** 6) for _ in range(20))
@@ -325,12 +325,13 @@ def test_criterion_7_delta_invariance(capsys):
     # square-free counts send their thresholds in (500, isqrt(n)] to
     # mertens_multi, which takes the scaled pipeline delta
     sq_expect = oracles.sqfree_naive(cfg_ns[-1], cfg_ns)
+    cutoff(500)
     bad = []
     for n, pe, me, se in zip(cfg_ns, pi_expect, m_expect, sq_expect):
         pis, ms, sqs = set(), set(), set()
         for j in range(10):
             scale = Fraction(1, 2) + Fraction(j, 9)
-            cfg = counting.Config(delta_scale=scale, cutoff=500)
+            cfg = counting.Config(delta_scale=scale)
             pis.add(primeconv.count_primes(n, cfg))
             ms.add(primeconv.mertens(n, cfg))
             sqs.add(primeconv.count_squarefree(n, cfg))

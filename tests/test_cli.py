@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 from primeconv import (cli, counting, error_correction, modmath, oracles,
                        segmentation, sieve, smooth_mobius)
@@ -104,7 +105,7 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
     monkeypatch.setattr(error_correction, "_auto_chunk", lambda total: 4096)
     # a window above error_correction._POOL_WINDOW, which a pool serves
     n = 4_000_000
-    flags = ["--threads", "2"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     counting._residue_pass.cache_clear()
     cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
              (["sum-primes", str(n)], oracles.sum_primes_naive(n, 1), 2),
@@ -112,7 +113,7 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
               oracles.pi_mod_naive(n, 4, 3), 1))
     for argv, value, primes in cases:
         seen.clear()
-        code, out, _ = run_cli(capsys, "--json", *flags, *argv)
+        code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == 0
         obj = json.loads(out)
         assert obj["result"] == value, argv
@@ -121,19 +122,20 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
         assert len(obj["moduli"]) == primes, argv
         assert seen[-1] == (obj["correction_chunks"], obj["correction_workers"])
         assert obj["correction_chunks"] > 2 and obj["correction_workers"] == 2
-        code, out, _ = run_cli(capsys, *flags, *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == f"{value}\n", argv
 
 
-def test_json_carries_the_pair_split(capsys):
+def test_json_carries_the_pair_split(capsys, monkeypatch):
     # correction_split is the divisor split X and stride_cofactors the
     # largest stride cofactor d1_max = (n + S) // (X + 1), below isqrt(n)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     counting._residue_pass.cache_clear()
     for n, argv in ((200_000, ["pi"]), (10 ** 7, ["pi"]),
                     (10 ** 7, ["sum-primes", "--power", "1"]),
                     (10 ** 7, ["pi-mod", "--modulus", "4", "--residue", "1"])):
         argv = argv[:1] + [str(n)] + argv[1:]
-        code, out, _ = run_cli(capsys, "--json", "--threads", "2", *argv)
+        code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == 0, argv
         obj = json.loads(out)
         split, d1_max, window = (obj["correction_split"],
@@ -147,18 +149,8 @@ def test_json_carries_the_pair_split(capsys):
         # below _POOL_WINDOW the whole call runs on one worker
         assert obj["correction_workers"] == (
             1 if window < error_correction._POOL_WINDOW else 2), argv
-        code, out, _ = run_cli(capsys, "--threads", "2", *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == f"{obj['result']}\n", argv
-
-
-def test_tiny_n_under_a_low_cutoff_answers(capsys):
-    # n <= 1 takes the sieve under --cutoff 0 or 1, as it does above them
-    for cutoff in ("0", "1"):
-        for argv in (["pi", "1"], ["sum-primes", "1", "--power", "1"],
-                     ["pi-mod", "1", "--modulus", "4", "--residue", "3"],
-                     ["pi", "0"]):
-            code, out, _ = run_cli(capsys, "--cutoff", cutoff, *argv)
-            assert code == 0 and out == "0\n", (cutoff, argv)
 
 
 def test_json_carries_the_triple_pairs(capsys):
@@ -209,10 +201,8 @@ def test_usage_errors_exit_2(capsys):
 
 def test_invalid_config_fields_exit_2(capsys):
     # n below the cutoff: the check comes before the sieve fallback, and
-    # each field goes through the same check as the library's
-    for flag, value, field in (("--threads", "-2", "threads"),
-                               ("--cutoff", "-1", "cutoff"),
-                               ("--delta-scale", "0", "delta scale"),
+    # the delta scale goes through the same check as the library's
+    for flag, value, field in (("--delta-scale", "0", "delta scale"),
                                ("--delta-scale", "1/0", "delta scale")):
         code, _, err = run_cli(capsys, flag, value, "pi", "1000")
         assert code == 2 and field in err, (flag, value)
@@ -262,19 +252,21 @@ def test_oracle_subcommand(capsys):
 
 
 def test_cutoff_flag_picks_the_pipeline_or_the_sieve(capsys):
-    code, out, _ = run_cli(capsys, "--cutoff", "10", "--json", "pi", "2000")
+    # Config.cutoff is a constant, so n alone picks the route
+    code, out, _ = run_cli(capsys, "--json", "pi", "2000")
     assert code == 0
     obj = json.loads(out)
-    assert obj["delta"] is not None  # main path ran below the default cutoff
-    code, out, _ = run_cli(capsys, "--cutoff", "1000000", "--json", "pi",
-                           "2000")
+    assert obj["delta"] is None  # sieve below the cutoff
+    code, out, _ = run_cli(capsys, "--json", "pi", "200000")
+    assert code == 0
     obj = json.loads(out)
-    assert obj["delta"] is None  # sieve fallback
+    assert obj["delta"] is not None  # main path above it
 
 
-def test_bench_csv_and_slope(capsys):
-    code, out, _ = run_cli(capsys, "--cutoff", "100", "bench", "--from", "2000",
-                           "--to", "200000", "--factor", "10")
+def test_bench_csv_and_slope(capsys, cutoff):
+    cutoff(100)
+    code, out, _ = run_cli(capsys, "bench", "--from", "2000", "--to", "200000",
+                           "--factor", "10")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,result,total_s")

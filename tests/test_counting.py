@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import inspect
 import math
+import os
 import random
 import sys
 import threading
@@ -15,8 +16,6 @@ import primeconv
 from primeconv import counting, error_correction, modmath, oracles
 from primeconv import segmentation, sieve
 
-FAST = counting.Config(cutoff=500)
-
 
 def test_count_primes_small_values():
     assert primeconv.count_primes(0) == 0
@@ -25,10 +24,11 @@ def test_count_primes_small_values():
     assert primeconv.count_primes(100) == 25
 
 
-def test_count_primes_main_path_boundary_band():
+def test_count_primes_main_path_boundary_band(cutoff):
     # straddle the cutoff with the real pipeline forced on
+    cutoff(500)
     for n in (500, 501, 997, 1024, 4096, 65537):
-        assert primeconv.count_primes(n, FAST) == oracles.pi_naive(n), n
+        assert primeconv.count_primes(n) == oracles.pi_naive(n), n
 
 
 def test_count_primes_random_mid_range():
@@ -58,12 +58,13 @@ def test_crt_consistency_across_modulus_pairs(monkeypatch):
         assert bundle.value == base
 
 
-def test_sum_over_primes_examples():
+def test_sum_over_primes_examples(cutoff):
+    cutoff(500)
     assert primeconv.sum_over_primes(100, 0) == 25
     assert primeconv.sum_over_primes(10, 1) == 17
     assert primeconv.sum_over_primes(2, 2) == 4
     for ell in (0, 1, 2):
-        got = primeconv.sum_over_primes(3000, ell, FAST)
+        got = primeconv.sum_over_primes(3000, ell)
         assert got == oracles.sum_primes_naive(3000, ell)
 
 
@@ -79,7 +80,7 @@ def test_sum_over_primes_on_three_primes():
     assert bundle.value == oracles.sum_primes_naive(10 ** 6, 3)
 
 
-def test_result_moduli_are_the_fewest_the_bound_needs():
+def test_result_moduli_are_the_fewest_the_bound_needs(cutoff):
     # the bounds: pi(x) <= 13 x // (10 floor(ln x)), which lies above
     # Rosser-Schoenfeld's 1.25506 x / ln x; a sum of p^l is at most that
     # times x^l; |M(x)| <= x at the largest threshold of mertens_multi
@@ -92,17 +93,17 @@ def test_result_moduli_are_the_fewest_the_bound_needs():
                  if math.prod(pool[:k]) > 2 * bound)
         return pool[:k]
 
-    # squarefree with cutoff 100 takes thresholds up to isqrt(n) = 447
-    cases = (
+    cases = [
         (counting.count_primes_result(n), pi_bound, 1),
         (counting.sum_over_primes_result(n, 1), pi_bound * n, 2),
         (counting.sum_over_primes_result(n, 2), pi_bound * n ** 2, 2),
         (counting.sum_over_primes_result(n, 3), pi_bound * n ** 3, 3),
         (counting.count_primes_mod_result(n, 4, 3), pi_bound, 1),
         (counting.mertens_result(n), n, 1),
-        (counting.totient_sum_result(n), n, 1),
-        (counting.count_squarefree_result(n, counting.Config(cutoff=100)),
-         math.isqrt(n), 1))
+        (counting.totient_sum_result(n), n, 1)]
+    # squarefree with cutoff 100 takes thresholds up to isqrt(n) = 447
+    cutoff(100)
+    cases.append((counting.count_squarefree_result(n), math.isqrt(n), 1))
     for bundle, bound, k in cases:
         assert bundle.moduli == fewest(bound), bundle.function
         assert len(bundle.moduli) == k, bundle.function
@@ -117,39 +118,42 @@ def test_count_primes_mod_examples():
         primeconv.count_primes_mod(100, 4, 2)
 
 
-def test_count_primes_mod_main_path_all_residues():
+def test_count_primes_mod_main_path_all_residues(cutoff):
+    cutoff(500)
     for m in (3, 4, 5, 7, 8, 12, 30):
         n = 1500 + 37 * m
         for r in range(1, m + 1):
             if math.gcd(r % m if m > 1 else 1, m) != 1:
                 continue
-            got = primeconv.count_primes_mod(n, m, r % m, FAST)
+            got = primeconv.count_primes_mod(n, m, r % m)
             assert got == oracles.pi_mod_naive(n, m, r % m), (n, m, r)
 
 
-def test_count_primes_mod_cross_identity():
+def test_count_primes_mod_cross_identity(cutoff):
     # summing over coprime residues plus primes dividing m recovers pi
+    cutoff(500)
     n = 10 ** 5 + 11
     for m in (4, 7, 12, 30):
-        total = sum(primeconv.count_primes_mod(n, m, r, FAST)
+        total = sum(primeconv.count_primes_mod(n, m, r)
                     for r in range(m) if math.gcd(r, m) == 1)
         dividing = sum(1 for p in (2, 3, 5, 7, 11, 13, 29)
                        if m % p == 0 and p <= n)
-        assert total + dividing == primeconv.count_primes(n, FAST), m
+        assert total + dividing == primeconv.count_primes(n), m
 
 
-def test_count_primes_mod_needs_compatible_pool():
+def test_count_primes_mod_needs_compatible_pool(cutoff):
+    cutoff(500)
     # lambda(7) = 6 forces the pool primes whose orders include a factor of
     # three
-    got = primeconv.count_primes_mod(2 * 10 ** 5, 7, 3, FAST)
+    got = primeconv.count_primes_mod(2 * 10 ** 5, 7, 3)
     assert got == oracles.pi_mod_naive(2 * 10 ** 5, 7, 3)
     # lambda(11) = 10 divides p - 1 for one pool prime only: enough where one
     # prime covers pi(n), and refused before any work where n needs two
-    bundle = counting.count_primes_mod_result(2 * 10 ** 5, 11, 3, FAST)
+    bundle = counting.count_primes_mod_result(2 * 10 ** 5, 11, 3)
     assert bundle.moduli == (modmath.NTT_PRIMES[0],)
     assert bundle.value == oracles.pi_mod_naive(2 * 10 ** 5, 11, 3)
     with pytest.raises(counting.ModulusSupportError):
-        primeconv.count_primes_mod(10 ** 11, 11, 3, FAST)
+        primeconv.count_primes_mod(10 ** 11, 11, 3)
 
 
 def test_count_primes_mod_selects_primes_by_the_character_exponent():
@@ -165,22 +169,24 @@ def test_count_primes_mod_selects_primes_by_the_character_exponent():
     assert sum(counts.values()) + 2 == primeconv.count_primes(n)
 
 
-def test_mertens_examples_and_random():
+def test_mertens_examples_and_random(cutoff):
+    cutoff(500)
     assert primeconv.mertens(1) == 1
     assert primeconv.mertens(0) == 0
     assert primeconv.mertens(10) == -1
     rng = random.Random(5)
     for _ in range(5):
         n = rng.randrange(600, 2 * 10 ** 5)
-        assert primeconv.mertens(n, FAST) == oracles.mertens_naive(n), n
+        assert primeconv.mertens(n) == oracles.mertens_naive(n), n
 
 
-def test_mertens_multi_examples():
+def test_mertens_multi_examples(cutoff):
+    cutoff(500)
     vals = [b.value for b in primeconv.mertens_multi([10, 7, 5], 10)]
     assert vals == [-1, -2, -2]
-    single = primeconv.mertens_multi([1000], 32, FAST)[0].value
-    assert single == primeconv.mertens(1000, FAST)
-    same = [b.value for b in primeconv.mertens_multi([500, 500, 500], 23, FAST)]
+    single = primeconv.mertens_multi([1000], 32)[0].value
+    assert single == primeconv.mertens(1000)
+    same = [b.value for b in primeconv.mertens_multi([500, 500, 500], 23)]
     assert len(set(same)) == 1
     with pytest.raises(ValueError):
         primeconv.mertens_multi([200], 10)
@@ -254,21 +260,6 @@ def test_mertens_multi_sums_mu_once_per_call(monkeypatch):
     assert sums == []
 
 
-def test_n_up_to_one_takes_the_sieve_under_any_cutoff():
-    # n <= 1 has no pipeline cell width, whatever the cutoff
-    for cutoff in (0, 1):
-        cfg = counting.Config(cutoff=cutoff)
-        for n in (0, 1):
-            assert primeconv.count_primes(n, cfg) == 0
-            assert primeconv.sum_over_primes(n, 2, cfg) == 0
-            assert primeconv.count_primes_mod(n, 4, 1, cfg) == 0
-            assert primeconv.count_primes_mod(n, 1, 0, cfg) == 0
-            assert primeconv.mertens(n, cfg) == n
-            assert primeconv.count_squarefree(n, cfg) == n
-            assert primeconv.totient_sum(n, cfg) == n
-        assert primeconv.count_primes(2, cfg) == 1
-
-
 def test_every_function_answers_without_the_oracles(monkeypatch):
     # below the cutoff the production sieves answer, so the oracles stay a
     # second route: a call that reached one would raise here
@@ -279,8 +270,8 @@ def test_every_function_answers_without_the_oracles(monkeypatch):
              (primeconv.count_primes_mod, (60, 7), oracles.pi_mod_naive),
              (primeconv.count_primes_mod, (1, 0), oracles.pi_mod_naive),
              (primeconv.mertens, (), oracles.mertens_naive),
-             (lambda n, config=None: primeconv.mertens_multi(
-                 [n], max(n, 1), config)[0].value, (), oracles.mertens_naive),
+             (lambda n: primeconv.mertens_multi([n], max(n, 1))[0].value, (),
+              oracles.mertens_naive),
              (primeconv.count_squarefree, (), oracles.sqfree_naive),
              (primeconv.totient_sum, (), oracles.totient_sum_naive)]
     expect = [[oracle(n, *args) for n in ns] for _, args, oracle in cases]
@@ -294,9 +285,6 @@ def test_every_function_answers_without_the_oracles(monkeypatch):
     for (fn, args, _), values in zip(cases, expect):
         for n, value in zip(ns, values):
             assert fn(n, *args) == value, (fn.__name__, args, n)
-            for cutoff in (0, 1) if n <= 1 else ():
-                got = fn(n, *args, counting.Config(cutoff=cutoff))
-                assert got == value, (fn.__name__, args, n, cutoff)
 
 
 def test_mertens_published_values():
@@ -305,27 +293,28 @@ def test_mertens_published_values():
     assert primeconv.mertens(10 ** 9) == -222
 
 
-def test_count_squarefree_examples_and_consistency():
+def test_count_squarefree_examples_and_consistency(cutoff):
     assert primeconv.count_squarefree(1) == 1
     assert primeconv.count_squarefree(0) == 0
     assert primeconv.count_squarefree(20) == 13
+    # OEIS A071172; the default cutoff hands thresholds above it to
+    # mertens_multi, a cutoff above sqrt(n) answers from the sieve alone
+    assert primeconv.count_squarefree(10 ** 11) == 60792710280
+    cutoff(10 ** 6)
+    assert primeconv.count_squarefree(10 ** 11) == 60792710280
     rng = random.Random(6)
     # cutoff 10 sieves mu below icbrt(n) and hands the thresholds above it
     # to mertens_multi
-    for cfg in (FAST, counting.Config(cutoff=10)):
+    for k in (500, 10):
+        cutoff(k)
         for _ in range(4):
             n = rng.randrange(600, 10 ** 6)
-            got = primeconv.count_squarefree(n, cfg)
+            got = primeconv.count_squarefree(n)
             # direct inclusion-exclusion over square divisors
             mu = oracles.mu_naive(math.isqrt(n)).astype(np.int64)
             direct = sum(int(mu[d]) * (n // (d * d))
                          for d in range(1, math.isqrt(n) + 1))
-            assert got == direct == oracles.sqfree_naive(n), (n, cfg)
-    # OEIS A071172; the default config hands thresholds above the cutoff to
-    # mertens_multi, a cutoff above sqrt(n) answers from the sieve alone
-    assert primeconv.count_squarefree(10 ** 11) == 60792710280
-    assert primeconv.count_squarefree(
-        10 ** 11, counting.Config(cutoff=10 ** 6)) == 60792710280
+            assert got == direct == oracles.sqfree_naive(n), (n, k)
 
 
 def test_squarefree_thresholds_take_the_pipeline_delta(monkeypatch):
@@ -348,14 +337,15 @@ def test_squarefree_thresholds_take_the_pipeline_delta(monkeypatch):
         assert deltas == [counting._pipeline_delta(316227, cfg)], scale
 
 
-def test_totient_sum_examples_and_random():
+def test_totient_sum_examples_and_random(cutoff):
+    cutoff(500)
     assert primeconv.totient_sum(1) == 1
     assert primeconv.totient_sum(0) == 0
     assert primeconv.totient_sum(10) == 32
     rng = random.Random(7)
     for _ in range(4):
         n = rng.randrange(600, 3 * 10 ** 5)
-        assert primeconv.totient_sum(n, FAST) == oracles.totient_sum_naive(n), n
+        assert primeconv.totient_sum(n) == oracles.totient_sum_naive(n), n
 
 
 def test_delta_scale_is_neutral_for_values():
@@ -400,9 +390,10 @@ def test_engine_window_lengths():
         assert params.window == expect, (n, scale)
 
 
-def test_coarse_delta_scale_is_exact():
+def test_coarse_delta_scale_is_exact(cutoff):
     # at delta scale 2 the window comes from the cell scan alone
-    cfg = counting.Config(delta_scale=2, cutoff=1000)
+    cutoff(1000)
+    cfg = counting.Config(delta_scale=2)
     assert primeconv.count_primes(10 ** 6, cfg) == 78498
     for n in (10 ** 6, 10 ** 7):
         assert primeconv.count_primes(n, cfg) == oracles.pi_naive(n), n
@@ -412,7 +403,7 @@ def test_coarse_delta_scale_is_exact():
                 == oracles.pi_mod_naive(n, 4, 3)), n
 
 
-def test_coarse_delta_grid_is_exact_or_refused():
+def test_coarse_delta_grid_is_exact_or_refused(cutoff):
     # a coarse delta either answers exactly or is refused with ValueError
     # by a check the mathematics needs (the screen's gap condition, delta <=
     # 1/2 for the transforms, delta <= 1 for the segmentation); none of
@@ -420,10 +411,11 @@ def test_coarse_delta_grid_is_exact_or_refused():
     calls = ((primeconv.count_primes, (), oracles.pi_naive),
              (primeconv.sum_over_primes, (1,), oracles.sum_primes_naive),
              (primeconv.count_primes_mod, (4, 3), oracles.pi_mod_naive))
+    cutoff(2)  # n = 9 takes the pipeline
     exact = refused = 0
     for n in (9, 100, 5000, 60_000, 400_000):
         for scale in (Fraction(3, 2), 3, 8, 64):
-            cfg = counting.Config(delta_scale=scale, cutoff=0)
+            cfg = counting.Config(delta_scale=scale)
             for fn, args, oracle in calls:
                 try:
                     got = fn(n, *args, cfg)
@@ -464,7 +456,7 @@ def test_cache_hit_reports_the_pass_it_reads(monkeypatch):
     assert second.value == oracles.pi_mod_naive(n, 4, 3)
     # another Config runs a pass of its own, to the same value
     third = counting.count_primes_mod_result(
-        n, 4, 3, counting.Config(cutoff=1000))
+        n, 4, 3, counting.Config(delta_scale=Fraction(3, 4)))
     assert calls.count("pairs_correction") == 2
     assert third.value == second.value
 
@@ -515,10 +507,11 @@ def test_residues_of_one_modulus_share_one_correction_pass(monkeypatch):
     assert calls == [30]
 
 
-def test_char_cache_eviction_under_threads():
+def test_char_cache_eviction_under_threads(cutoff, monkeypatch):
     # more keys than the cache holds, filled and evicted by racing threads
     counting._residue_pass.cache_clear()
-    cfg = counting.Config(cutoff=500, threads=1)
+    cutoff(500)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     ns = list(range(2000, 2012))
     expect = {n: oracles.pi_mod_naive(n, 4, 3) for n in ns}
     errors = []
@@ -526,7 +519,7 @@ def test_char_cache_eviction_under_threads():
     def worker(shift):
         for n in ns[shift:] + ns[:shift]:
             try:
-                if primeconv.count_primes_mod(n, 4, 3, cfg) != expect[n]:
+                if primeconv.count_primes_mod(n, 4, 3) != expect[n]:
                     errors.append(n)
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -549,10 +542,8 @@ def test_char_cache_eviction_under_threads():
 
 def test_invalid_config_fields_rejected():
     # n below the cutoff: the check comes before the sieve fallback; every
-    # invalid field is refused by every public function
-    invalid = (({"threads": -2}, "threads"),
-               ({"cutoff": -1}, "cutoff"),
-               ({"delta_scale": 0}, "delta scale"),
+    # public function refuses a delta scale that is not positive
+    invalid = (({"delta_scale": 0}, "delta scale"),
                ({"delta_scale": Fraction(-1, 3)}, "delta scale"))
     for fields, match in invalid:
         cfg = counting.Config(**fields)
@@ -670,22 +661,33 @@ def test_character_tables_peak_near_what_they_keep():
 
 
 def test_thread_count_neutral_for_values(monkeypatch):
-    # chunks of 4096 split the correction's window (13,225 entries at this n)
-    # into several jobs, so more than one thread runs them, beside the
-    # transform jobs of the same pool
+    # the pool takes its workers from os.cpu_count(). At 300,000 the window
+    # (13,225 entries) lies below _POOL_WINDOW, so one worker runs every
+    # job; at 4,000,000 (173,213 entries) each CPU past the first adds one,
+    # up to the jobs (four CPUs give pi three workers). Chunks of 4096 split
+    # either window into several jobs
     auto = error_correction._auto_chunk
-    n = 300_000
-    calls = ((primeconv.count_primes, (), oracles.pi_naive(n)),
-             (primeconv.count_primes_mod, (4, 3), oracles.pi_mod_naive(n, 4, 3)),
-             (primeconv.sum_over_primes, (1,), oracles.sum_primes_naive(n, 1)))
-    for fn, args, expect in calls:
-        vals = set()
-        for t in (1, 2, 4):
-            for chunk in (auto, lambda total: 4096):
-                monkeypatch.setattr(error_correction, "_auto_chunk", chunk)
-                counting._residue_pass.cache_clear()
-                vals.add(fn(n, *args, counting.Config(threads=t)))
-        assert vals == {expect}, fn.__name__
+    for n in (300_000, 4_000_000):
+        calls = ((counting.count_primes_result, (), oracles.pi_naive(n)),
+                 (counting.count_primes_mod_result, (4, 3),
+                  oracles.pi_mod_naive(n, 4, 3)),
+                 (counting.sum_over_primes_result, (1,),
+                  oracles.sum_primes_naive(n, 1)))
+        for fn, args, expect in calls:
+            vals = set()
+            for t in (1, 2, 4):
+                monkeypatch.setattr(os, "cpu_count", lambda t=t: t)
+                for chunk in (auto, lambda total: 4096):
+                    monkeypatch.setattr(error_correction, "_auto_chunk", chunk)
+                    counting._residue_pass.cache_clear()
+                    bundle = fn(n, *args)
+                    vals.add(bundle.value)
+                    workers = bundle.extra["correction_workers"]
+                    if t > 1 and bundle.window >= error_correction._POOL_WINDOW:
+                        assert workers > 1, (fn.__name__, n, t)
+                    else:
+                        assert workers == 1, (fn.__name__, n, t)
+            assert vals == {expect}, (fn.__name__, n)
 
 
 def test_sum_over_primes_range_guard_spares_the_sieve_path():

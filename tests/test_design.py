@@ -1,16 +1,18 @@
-"""Source-level guards on the package layout, read with `ast` only.
+"""Guards on the package layout, most of them read with `ast` only.
 
 The oracles stay an independent second route to every value: they import
 nothing from the package, and no production module imports them. The
 production modules carry no code and no keyword that only the tests reach.
 No module reads the environment or keeps state in an empty module-level
-container.
+container. Config has the one setting delta_scale.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import primeconv
+from primeconv import cli
 
 SRC = Path(primeconv.__file__).parent
 PRODUCTION = sorted(p for p in SRC.glob("*.py")
@@ -148,3 +150,13 @@ def test_no_module_level_empty_containers():
              if isinstance(node, (ast.Assign, ast.AnnAssign))
              and node.value is not None and _empty_container(node.value)]
     assert not found, f"module-level empty containers: {found}"
+
+
+def test_config_has_one_field():
+    # the sieve cutoff is a constant and the worker count follows the
+    # machine: no value depends on either, so neither is a setting
+    assert [f.name for f in dataclasses.fields(primeconv.Config)] == [
+        "delta_scale"]
+    assert primeconv.Config().cutoff == 100_000
+    for argv in (["--cutoff", "10", "pi", "5"], ["--threads", "2", "pi", "5"]):
+        assert cli.main(argv) == 2, argv

@@ -87,6 +87,24 @@ def test_primes_up_to_is_whole_under_threads(monkeypatch):
     assert not bad, bad[:5]
 
 
+def test_primes_up_to_reads_the_cache_at_a_composite_limit(monkeypatch):
+    # 99,989 is the largest prime up to 99,990: a second call at 99,990
+    # reads the primes the first one sieved
+    monkeypatch.setattr(sieve, "_prime_cache", np.array([], dtype=np.int64))
+    sieves = []
+    nonzero = np.nonzero
+
+    def counted(a):
+        sieves.append(len(a))
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counted)
+    first = sieve.primes_up_to(99_990)
+    assert len(sieves) == 1 and first[-1] == 99_989
+    assert np.array_equal(sieve.primes_up_to(99_990), first)
+    assert len(sieves) == 1
+
+
 def test_primes_up_to_1e6_count_two_routes():
     primes = sieve.primes_up_to(10 ** 6)
     assert len(primes) == 78498

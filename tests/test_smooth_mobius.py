@@ -404,7 +404,7 @@ def character_mobius_cells(primes, params, weight, modulus):
 
 
 @pytest.mark.parametrize("m", [5, 16, 60])
-def test_character_powers_by_dilation(m):
+def test_character_powers_by_dilation(m, cutoff):
     # characters of order 4 map to characters of order 2 and to their
     # conjugates under r = 2, 3, so the shared order-1 transforms are read
     # for other rows than their own
@@ -421,11 +421,11 @@ def test_character_powers_by_dilation(m):
     for k in (1, len(chars) - 1):
         ref = character_mobius_cells(qs, params, chars[k], pair[0])
         assert np.array_equal(rows[k], ref), (m, k)
-    config = counting.Config(cutoff=1000)
+    cutoff(1000)
     counting._residue_pass.cache_clear()
     for r in range(m):
         if math.gcd(r, m) == 1:
-            got = counting.count_primes_mod(n + 1, m, r, config)
+            got = counting.count_primes_mod(n + 1, m, r)
             assert got == oracles.pi_mod_naive(n + 1, m, r), (m, r)
 
 
