@@ -134,17 +134,17 @@ def _bench(args, config, as_json):
         raise ValueError("bench needs --from >= 1 and --factor >= 2")
     rows = []
     n = args.start
-    phases = ("params", "primes", "convolution", "correction", "combine",
-              "sieve")
     while n <= args.stop:
         t0 = time.perf_counter()
         bundle = _run_function(args.fn, n, _BENCH_ARGUMENTS, config)
         total = time.perf_counter() - t0
-        row = {"n": n, "result": bundle.value, "total_s": total}
-        for ph in phases:
-            row[f"t_{ph}"] = bundle.timings.get(ph, 0.0)
-        rows.append(row)
+        rows.append({"n": n, "result": bundle.value, "total_s": total,
+                     **{f"t_{ph}": t for ph, t in bundle.timings.items()}})
         n *= args.factor
+    # the phases of every row, in the order they first appear; a row that
+    # did not run one reads 0
+    cols = list(dict.fromkeys(c for row in rows for c in row))
+    rows = [{c: row.get(c, 0.0) for c in cols} for row in rows]
     slope = None
     if len(rows) >= 2:
         slope = statistics.linear_regression(
@@ -154,7 +154,6 @@ def _bench(args, config, as_json):
         print(json_mod.dumps({"function": args.fn, "rows": rows,
                               "slope": slope}))
         return 0
-    cols = ["n", "result", "total_s"] + [f"t_{ph}" for ph in phases]
     print(",".join(cols))
     for row in rows:
         print(",".join(_fmt(row[c]) for c in cols))

@@ -509,9 +509,7 @@ def mertens_result(n, config=None):
     """Exact Mertens function: sum of mu(k) for k <= n."""
     config = config or DEFAULT_CONFIG
     check_arguments("mertens", n, config)
-    # below the cutoff n is its own truncation: M(n) is read off the mu sieve
-    trunc = max(n, 1) if _sieved(n) else math.isqrt(n - 1) + 1
-    bundle = mertens_multi([n], trunc, config)[0]
+    bundle = mertens_multi([n], config=config)[0]
     bundle.function = "mertens"
     return bundle
 
@@ -520,53 +518,66 @@ def mertens(n, config=None):
     return mertens_result(n, config).value
 
 
-def mertens_multi(ns, trunc, config=None):
-    """Mertens values at several thresholds off one truncated convolution.
-
-    Every threshold must satisfy n_i <= trunc^2; thresholds at or below the
-    truncation come straight from the sieved prefix sums. Returns a
-    ResultBundle per threshold, in input order.
-    """
-    config = config or DEFAULT_CONFIG
-    check_config(config)
-    if trunc < 1:
-        raise ValueError("truncation must be >= 1")
-    for n_i in ns:
-        if n_i < 0 or n_i > trunc * trunc:
-            raise ValueError(f"threshold {n_i} outside [0, trunc^2]")
+def mertens_multi(ns, *, config=None):
+    """Mertens values at several thresholds off one mu sieve and at most one
+    truncated convolution (see _mertens_values). Returns a ResultBundle per
+    threshold, in input order."""
     timings = {}
+    values, bundles = _mertens_values(ns, config or DEFAULT_CONFIG, timings)
+    return [bundles[x] if x in bundles else ResultBundle(
+        "mertens-multi", x, values[x], None, None, None, dict(timings))
+        for x in ns]
+
+
+def _mertens_values(xs, config, timings):
+    """({x: M(x)} over the thresholds xs, {x: ResultBundle} for those that
+    took the convolution), recording the "sieve" and "convolution" phases in
+    timings. Refuses thresholds outside [0, MAX_N] before any work.
+
+    One rule: T = ceil(sqrt(x_max)), and one mu sieve up to L = max(T, the
+    largest threshold below Config.cutoff) answers every x <= L from its
+    prefix sums. The rest share one truncated convolution of mu(1..T) at
+    the pipeline delta of the largest threshold, whose bound also picks the
+    NTT primes, and each adds its own triple correction, which walks about
+    2.2 x^(2/3) pairs.
+    """
+    check_config(config)
+    xs = list(xs)
+    if xs and not 0 <= min(xs) <= max(xs) <= MAX_N:
+        raise ValueError(f"thresholds must lie in [0, {MAX_N}]")
+    xs = np.array(xs, dtype=np.int64)
+    x_max = int(xs.max(initial=0))
+    trunc = math.isqrt(x_max - 1) + 1 if x_max else 0
+    limit = max(1, trunc,
+                int(xs.max(initial=0, where=xs < Config.cutoff)))
     t0 = time.perf_counter()
-    mu = sieve.mu_up_to(trunc)
-    m_trunc = mu.prefix_sum(trunc)
+    mu = sieve.mu_up_to(limit)
+    values = dict(zip(xs.tolist(), mu.prefix[np.minimum(xs, limit)].tolist()))
     timings["sieve"] = time.perf_counter() - t0
-    big = sorted({n_i for n_i in ns if n_i > trunc})
-    results = {n_i: None for n_i in ns}
-    for n_i in ns:
-        if n_i <= trunc:
-            results[n_i] = ResultBundle(
-                "mertens-multi", n_i, mu.prefix_sum(max(0, n_i)), None, None,
-                None, dict(timings))
+    big = np.unique(xs[xs > limit]).tolist()
+    bundles = {}
     if big:
         t0 = time.perf_counter()
-        n_max = big[-1]
-        delta = _pipeline_delta(n_max, config)
-        params_max = segmentation.make_params(n_max, delta)
-        moduli = _select_moduli(_result_bound("mertens", n_max))
+        delta = _pipeline_delta(big[-1], config)
+        params_max = segmentation.make_params(big[-1], delta)
+        moduli = _select_moduli(_result_bound("mertens", big[-1]))
         # cell array of mu up to the truncation, exact then per-modulus
         cells = segmentation.cell_index_vec(
             np.arange(1, trunc + 1, dtype=np.uint64), params_max)
         width = params_max.top_cell + 1
         # float bin sums of mu(1..trunc) are exact: each is at most trunc
-        mubar = np.bincount(cells, mu.values[1:], width)[:width].astype(np.int64)
+        mubar = np.bincount(cells, mu.values[1:trunc + 1],
+                            width)[:width].astype(np.int64)
+        m_trunc = mu.prefix_sum(trunc)
         conv2 = {}
         for p in moduli:
             arr = (mubar % p).astype(np.uint64)
             conv2[p] = modmath.convolve_mod(arr, arr, p)
         timings["convolution"] = time.perf_counter() - t0
-        for n_i in big:
+        for x in big:
             t1 = time.perf_counter()
-            sub = replace(params_max, n=n_i, window=None,
-                          top_cell=segmentation.cell_index(n_i, params_max))
+            sub = replace(params_max, n=x, window=None,
+                          top_cell=segmentation.cell_index(x, params_max))
             top = sub.top_cell
             tops = _celltops_desc(sub)
             residues = []
@@ -575,39 +586,26 @@ def mertens_multi(ns, trunc, config=None):
             for p in moduli:
                 a = _prefix_dot(conv2[p][:top + 1], modmath.mod(tops, p), p)
                 residues.append((2 * m_trunc - a + corr) % p)
-            value = modmath.crt_combine(residues, moduli)
+            values[x] = modmath.crt_combine(residues, moduli)
             sub_t = {**timings, "threshold": time.perf_counter() - t1}
-            results[n_i] = ResultBundle(
-                "mertens-multi", n_i, value, delta,
+            bundles[x] = ResultBundle(
+                "mertens-multi", x, values[x], delta,
                 error_correction.triple_window(sub), moduli, sub_t,
                 {"trunc": trunc, "triple_pairs": plan[-1]})
-    return [results[n_i] for n_i in ns]
+    return values, bundles
 
 
 def _weighted_mertens(weights, config, timings):
     """(sum of w * M(x) over the thresholds x -> w of `weights`, the NTT
-    primes used), recording the "sieve" and "mertens" phases in timings.
-    One sieve of mu up to L = min(x_max, max(cutoff, isqrt(x_max))) serves
-    the thresholds up to L; the rest share one mertens_multi call at the
-    smallest truncation T with every threshold <= T^2 (the triple
-    correction of a threshold x walks about 2.2 x^(2/3) pairs), whose
-    primes are those of the largest threshold (None without the call)."""
+    primes of the convolution, None without one), recording the "sieve",
+    "convolution" and "mertens" phases of _mertens_values in timings;
+    "mertens" is the rest of the call."""
     t0 = time.perf_counter()
-    x_max = max(weights, default=1)
-    limit = min(x_max, max(Config.cutoff, math.isqrt(x_max)))
-    mu = sieve.mu_up_to(limit)
-    timings["sieve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    small = [x for x in weights if x <= limit]
-    total = sum(m * weights[x] for x, m in zip(small, mu.prefix[small].tolist()))
-    big = sorted(x for x in weights if x > limit)
-    moduli = None
-    if big:
-        bundles = mertens_multi(big, math.isqrt(big[-1] - 1) + 1, config)
-        total += sum(b.value * weights[b.n] for b in bundles)
-        moduli = bundles[-1].moduli
-    timings["mertens"] = time.perf_counter() - t0
-    return total, moduli
+    values, bundles = _mertens_values(weights, config, timings)
+    total = sum(w * values[x] for x, w in weights.items())
+    timings["mertens"] = (time.perf_counter() - t0 - timings["sieve"]
+                          - timings.get("convolution", 0.0))
+    return total, bundles[max(bundles)].moduli if bundles else None
 
 
 def count_squarefree_result(n, config=None):

@@ -13,14 +13,13 @@ import functools
 
 import numpy as np
 
-# NTT-friendly primes with large power-of-two subgroups and known primitive
-# roots, in the order callers take them; each p^2 fits in uint64, and all
-# three together reconstruct values up to about 2^92 in size.
+# NTT-friendly primes with large power-of-two subgroups, in the order
+# callers take them; each p^2 fits in uint64, and all three together
+# reconstruct values up to about 2^92 in size.
 #   2013265921 = 15 * 2^27 + 1   (p - 1 divisible by 2^27, 3, 5)
 #   2281701377 = 17 * 2^27 + 1   (p - 1 divisible by 2^27, 17)
 #   3221225473 =  3 * 2^30 + 1   (p - 1 divisible by 2^30, 3)
 NTT_PRIMES = (2013265921, 2281701377, 3221225473)
-_PRIMITIVE_ROOTS = {2013265921: 31, 2281701377: 3, 3221225473: 5}
 
 
 def mod(x, p, out=None):
@@ -57,12 +56,9 @@ def factorize(n):
     return out
 
 
+@functools.cache
 def primitive_root(p):
-    """A primitive root of the prime p: the known one for the pool primes,
-    else the smallest."""
-    g = _PRIMITIVE_ROOTS.get(p)
-    if g is not None:
-        return g
+    """The smallest primitive root of the prime p."""
     fac = factorize(p - 1)
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q, _ in fac):

@@ -279,6 +279,18 @@ def test_bench_csv_and_slope(capsys, cutoff):
     assert [r[1] for r in rows] == ["303", "2262", "17984"]
 
 
+def test_bench_columns_are_the_phases_of_the_rows(capsys):
+    # the columns follow the timings each function records, in the order
+    # they first appear, so the Mertens family shows its own phases
+    for fn, phase in (("mertens", "t_threshold"), ("totient-sum", "t_mertens")):
+        code, out, _ = run_cli(capsys, "bench", "--fn", fn, "--from",
+                               "1000000", "--to", "1000000")
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header[:3] == ["n", "result", "total_s"]
+        assert phase in header and "t_sieve" in header, (fn, header)
+
+
 def test_bench_same_n_twice_identical_results(capsys):
     code, out, _ = run_cli(capsys, "--json", "bench", "--from", "150000",
                            "--to", "150000", "--factor", "10")

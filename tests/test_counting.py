@@ -38,11 +38,27 @@ def test_count_primes_random_mid_range():
         assert primeconv.count_primes(n) == oracles.pi_naive(n), n
 
 
-def test_count_primes_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        primeconv.count_primes(-1)
-    with pytest.raises(ValueError):
-        primeconv.count_primes(10 ** 12 + 1)
+def test_count_primes_rejects_out_of_range(monkeypatch):
+    # every public function refuses n outside [0, MAX_N], mertens_multi a
+    # threshold outside it, before it sieves mu
+    def refuse(limit):
+        raise AssertionError(f"sieved mu up to {limit} before the check")
+
+    monkeypatch.setattr(sieve, "mu_up_to", refuse)
+    calls = [primeconv.count_primes, primeconv.count_primes_result,
+             lambda n: primeconv.sum_over_primes(n, 2),
+             lambda n: primeconv.sum_over_primes_result(n, 2),
+             lambda n: primeconv.count_primes_mod(n, 4, 3),
+             lambda n: primeconv.count_primes_mod_result(n, 4, 3),
+             primeconv.mertens, primeconv.mertens_result,
+             lambda n: primeconv.mertens_multi([n]),
+             lambda n: primeconv.mertens_multi([5, n, 10 ** 6]),
+             primeconv.count_squarefree, primeconv.count_squarefree_result,
+             primeconv.totient_sum, primeconv.totient_sum_result]
+    for call in calls:
+        for n in (-1, counting.MAX_N + 1, 10 ** 12 + 1):
+            with pytest.raises(ValueError):
+                call(n)
 
 
 def test_crt_consistency_across_modulus_pairs(monkeypatch):
@@ -182,21 +198,20 @@ def test_mertens_examples_and_random(cutoff):
 
 def test_mertens_multi_examples(cutoff):
     cutoff(500)
-    vals = [b.value for b in primeconv.mertens_multi([10, 7, 5], 10)]
+    vals = [b.value for b in primeconv.mertens_multi([10, 7, 5])]
     assert vals == [-1, -2, -2]
-    single = primeconv.mertens_multi([1000], 32)[0].value
+    single = primeconv.mertens_multi([1000])[0].value
     assert single == primeconv.mertens(1000)
-    same = [b.value for b in primeconv.mertens_multi([500, 500, 500], 23)]
+    same = [b.value for b in primeconv.mertens_multi([500, 500, 500])]
     assert len(set(same)) == 1
-    with pytest.raises(ValueError):
-        primeconv.mertens_multi([200], 10)
 
 
-def test_mertens_multi_many_thresholds():
+def test_mertens_multi_many_thresholds(cutoff):
     # thresholds far below trunc^2 reach the triple walks with trunc >> sqrt(n)
+    cutoff(2)
     rng = random.Random(8)
     ns = [rng.randrange(10 ** 4 + 1, 10 ** 6 + 1) for _ in range(20)]
-    got = [b.value for b in primeconv.mertens_multi(ns, 1000)]
+    got = [b.value for b in primeconv.mertens_multi(ns)]
     assert got == oracles.mertens_naive(max(ns), ns)
 
 
@@ -208,11 +223,14 @@ def test_mertens_bundles_carry_the_triple_pairs():
         pairs = bundle.extra["triple_pairs"]
         assert pairs == expect, (n, pairs)
         assert pairs <= 3 * (n + bundle.window) ** (2 / 3), (n, pairs)
-    bundles = primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5], 1000)
+    bundles = primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5])
+    assert [b.extra["trunc"] for b in bundles] == [1000, 1000]
     assert [b.extra["triple_pairs"] for b in bundles] == [18_181, 9_036]
 
 
-def test_mertens_multi_walks_the_triples_once_per_threshold(monkeypatch):
+def test_mertens_multi_walks_the_triples_once_per_threshold(monkeypatch,
+                                                             cutoff):
+    cutoff(2)
     built = []
     walks = error_correction.triple_walks
 
@@ -222,7 +240,7 @@ def test_mertens_multi_walks_the_triples_once_per_threshold(monkeypatch):
 
     monkeypatch.setattr(error_correction, "triple_walks", counted)
     ns = [10 ** 6, 500, 3 * 10 ** 5, 10 ** 6, 1000, 1001]
-    bundles = primeconv.mertens_multi(ns, 1000)
+    bundles = primeconv.mertens_multi(ns)
     assert sorted(built) == [1001, 3 * 10 ** 5, 10 ** 6]
     assert [b.value for b in bundles] == [
         oracles.mertens_naive(n) for n in ns]
@@ -247,7 +265,7 @@ def test_mertens_multi_sums_mu_once_per_call(monkeypatch):
 
     monkeypatch.setattr(np, "cumsum", counted)
     ns = [10 ** 6, 3 * 10 ** 5, 2 * 10 ** 5]
-    bundles = primeconv.mertens_multi(ns, 1000)
+    bundles = primeconv.mertens_multi(ns)
     assert sums == [1001]
     assert [b.value for b in bundles] == [
         oracles.mertens_naive(n) for n in ns]
@@ -260,6 +278,38 @@ def test_mertens_multi_sums_mu_once_per_call(monkeypatch):
     assert sums == []
 
 
+def test_one_mu_sieve_per_mertens_family_call(monkeypatch):
+    # one rule sizes the one sieve: its limit is the larger of ceil(sqrt) of
+    # the largest threshold and the largest threshold below the cutoff, and
+    # the caller passes no truncation
+    params = inspect.signature(primeconv.mertens_multi).parameters
+    assert "trunc" not in params
+    assert params["config"].kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        primeconv.mertens_multi([10 ** 6], 1000)
+    limits = []
+    mu_up_to = sieve.mu_up_to
+
+    def counted(limit):
+        limits.append(limit)
+        return mu_up_to(limit)
+
+    monkeypatch.setattr(sieve, "mu_up_to", counted)
+    calls = [(lambda: primeconv.count_squarefree(10 ** 11), 60792710280,
+              95_346),
+             (lambda: primeconv.totient_sum(3 * 10 ** 6),
+              2_735_672_422_966, 96_774),
+             (lambda: primeconv.mertens(10 ** 9), -222, 31_623),
+             (lambda: primeconv.mertens(99_999), -48, 99_999),
+             (lambda: [b.value for b in
+                       primeconv.mertens_multi([10 ** 6, 3 * 10 ** 5])],
+              [212, 220], 1000)]
+    for call, value, limit in calls:
+        limits.clear()
+        assert call() == value
+        assert limits == [limit]
+
+
 def test_every_function_answers_without_the_oracles(monkeypatch):
     # below the cutoff the production sieves answer, so the oracles stay a
     # second route: a call that reached one would raise here
@@ -270,7 +320,7 @@ def test_every_function_answers_without_the_oracles(monkeypatch):
              (primeconv.count_primes_mod, (60, 7), oracles.pi_mod_naive),
              (primeconv.count_primes_mod, (1, 0), oracles.pi_mod_naive),
              (primeconv.mertens, (), oracles.mertens_naive),
-             (lambda n: primeconv.mertens_multi([n], max(n, 1))[0].value, (),
+             (lambda n: primeconv.mertens_multi([n])[0].value, (),
               oracles.mertens_naive),
              (primeconv.count_squarefree, (), oracles.sqfree_naive),
              (primeconv.totient_sum, (), oracles.totient_sum_naive)]
@@ -552,7 +602,7 @@ def test_invalid_config_fields_rejected():
                  lambda: primeconv.count_primes_mod(1000, 4, 3, cfg),
                  lambda: primeconv.count_primes_mod(1000, 1, 0, cfg),
                  lambda: primeconv.mertens(1000, cfg),
-                 lambda: primeconv.mertens_multi([1000], 40, cfg),
+                 lambda: primeconv.mertens_multi([1000], config=cfg),
                  lambda: primeconv.count_squarefree(1000, cfg),
                  lambda: primeconv.totient_sum(1000, cfg)]
         for call in calls:

@@ -39,7 +39,10 @@ def test_pool_primes_are_prime_with_wide_two_adic_subgroups():
 
 
 def test_primitive_roots_have_full_order():
-    for p, g in modmath._PRIMITIVE_ROOTS.items():
+    # the search finds the roots every transform of the pool is built on
+    roots = [modmath.primitive_root(p) for p in modmath.NTT_PRIMES]
+    assert roots == [31, 3, 5]
+    for p, g in zip(modmath.NTT_PRIMES, roots):
         n = p - 1
         fac = []
         d, m = 2, n
