@@ -10,6 +10,7 @@ import argparse
 import functools
 import json as json_mod
 import math
+import resource
 import statistics
 import sys
 import time
@@ -139,11 +140,14 @@ def _bench(args, config, as_json):
         bundle = _run_function(args.fn, n, _BENCH_ARGUMENTS, config)
         total = time.perf_counter() - t0
         rows.append({"n": n, "result": bundle.value, "total_s": total,
-                     **{f"t_{ph}": t for ph, t in bundle.timings.items()}})
+                     **{f"t_{ph}": t for ph, t in bundle.timings.items()},
+                     "window": bundle.window, "peak_rss_mb":
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024})
         n *= args.factor
-    # the phases of every row, in the order they first appear; a row that
-    # did not run one reads 0
-    cols = list(dict.fromkeys(c for row in rows for c in row))
+    # the phases of every row, in the order they first appear (0 in a row
+    # that did not run one), then the window S and the peak RSS so far
+    cols = sorted(dict.fromkeys(c for row in rows for c in row),
+                  key=lambda c: c in ("window", "peak_rss_mb"))
     rows = [{c: row.get(c, 0.0) for c in cols} for row in rows]
     slope = None
     if len(rows) >= 2:

@@ -9,8 +9,8 @@ correction's chunks run as one job list on one worker pool. Every weight is
 a MultiplicativeWeight: n^ell (the unit weight is power(0)) or a Dirichlet
 character. The NTT primes are as few as a proven bound on the result
 allows (see _result_bound and _select_moduli). The correction window comes
-from the cell scan of segmentation.error_window_size alone, which puts no
-bound on delta * log2(n): every delta that the boundary table, the
+from the knapsack bound of segmentation.error_window_size alone, which puts
+no bound on delta * log2(n): every delta that the boundary table, the
 transforms and the screen accept gives an exact value. Inputs below
 Config.cutoff, a constant, are read off the prime and Mobius sieves of
 `sieve`; inputs above MAX_N, or character moduli above
@@ -311,8 +311,8 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     as one job list on one pool: the transform jobs go first, so that they
     run beside the correction's chunks. Returns the per-prime rows of
     approximate sums (one per weight), the correction, params, primes, the
-    timings and, for --json, the correction's plan: its chunk jobs, the
-    pool's workers, the divisor split X and the largest stride cofactor."""
+    timings and, for --json, the window's cells and the correction's plan:
+    chunk jobs, the pool's workers, divisor split X, largest stride cofactor."""
     timings = {}
     t0 = time.perf_counter()
     delta = _pipeline_delta(n, config)
@@ -340,7 +340,8 @@ def _pipeline(n, config, weights, moduli, **kwargs):
     # summed job durations: with several workers the phases overlap
     for phase in ("convolution", "correction"):
         timings[phase] = pool.seconds.get(phase, 0.0)
-    counts = {"correction_chunks": plan.chunks,
+    counts = {"window_cells": segmentation.window_cells(params),
+              "correction_chunks": plan.chunks,
               "correction_workers": plan.workers,
               "correction_split": plan.split,
               "stride_cofactors": plan.cofactors}

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sieve
+
 _FRAC_BITS = 96  # fractional bits carried by default deltas
 
 
@@ -160,8 +162,8 @@ class SegParams:
 
     n: target bound; delta: exact rational cell width in log2 scale;
     top_cell: cell_index(n); window: pairs error-window length S from the
-    primorial cell scan of error_window_size, or None when the window was
-    not requested.
+    knapsack bound on the primes' cell loss of error_window_size, or None
+    when the window was not requested.
     Boundaries cover every integer up to at least 2n + 2.
     """
     n: int
@@ -183,40 +185,41 @@ class SegParams:
         return _exact_ceil_pow2(k * self.delta)
 
 
-# the first 16 primes: their product exceeds 2^64, above every cell top
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
-
-def _max_squarefree_omega(x):
-    """max r such that the product of the first r primes is <= x."""
-    prod, r = 1, 0
-    for p in _SMALL_PRIMES:
-        if prod * p > x:
-            return r
-        prod *= p
-        r += 1
-    raise RuntimeError("primorial table exhausted")
-
-
 def error_window_size(params):
-    """Length S of the window (n, n+S] that can absorb misattributed mass.
+    """Length S of the window (n, n+S] that can absorb misattributed mass,
+    which ends at the top of the cell window_cells(params) past top_cell."""
+    return params.cell_top(params.top_cell + window_cells(params)) - params.n
 
-    Safe over-approximation: every product d1*d2 > n whose cell_index(d1)
-    plus the additive cell index of d2 (the sum of e * cell_index(p) over
-    its prime powers p^e) is at most top_cell lands at or below n + S. A
-    product in cell k > top_cell needs a square-free d2 with at least
-    k - 1 - top_cell prime factors, and d2 <= cell_top(k) caps that count by
-    the largest primorial below it. The scan over the cells past top_cell
-    stops at the first cell that fails this test, and S ends at the cell
-    before it. No later cell passes again: with delta <= 1, cell_top + 1 at
-    most doubles from one cell to the next, so the primorial count rises by
-    at most one per cell while k rises by one.
+
+def window_cells(params):
+    """ceil(L): every counted pair lies at most ceil(L) cells past top_cell.
+
+    A pair d1*d2 > n counts when cell(d1) + kh(d2) <= top = top_cell, d2
+    square-free with primes p <= isqrt(n) and kh its additive cell index.
+    Each p loses f_p = log2(p) / delta - cell(p) in [0, 1) of a cell, so
+    log2(d2) = delta (kh(d2) + F) for F the sum of f_p over p | d2, and as
+    d1 < 2^(delta (cell(d1) + 1)), d1*d2 < 2^(delta (top + 1 + F)) lies at
+    most ceil(F) cells past top. As F < log2(d2), log2(d2) < delta (top +
+    log2(d2)): the weights log2 p of d2 sum below C = delta top / (1 -
+    delta), with no cap at delta = 1. So F is at most the optimum L of the
+    fractional knapsack of values f_p and weights log2 p at capacity C,
+    which the greedy fill by f_p / log2 p attains (Dantzig, Oper. Res. 5,
+    1957). The float f_p, C and L take outward margins, f_p clamped to
+    [0, 1].
     """
-    top = params.top_cell
-    k = top + 1
-    while k - 1 - _max_squarefree_omega(params.cell_top(k)) <= top:
-        k += 1
-    return params.cell_top(k - 1) - params.n
+    eps = 2.0 ** -30  # far above the float error of log2(p) / delta and sums
+    primes = sieve.primes_up_to(math.isqrt(params.n))
+    logs = np.log2(primes)
+    x = logs / float(params.delta)
+    loss = np.clip(x - cell_index_vec(primes.astype(np.uint64), params)
+                   + x * eps, 0.0, 1.0)
+    order = np.argsort(-loss / logs, kind="stable")
+    loss, logs = loss[order], logs[order]
+    cap = (math.inf if params.delta == 1 else (1 + eps) * float(
+        params.delta * params.top_cell / (1 - params.delta)))
+    # the greedy fill: the share of each weight that fits after the ones before
+    bound = np.dot(loss, np.clip((cap - np.cumsum(logs) + logs) / logs, 0, 1))
+    return math.ceil(float(bound) * (1 + eps))
 
 
 def make_params(n, delta, *, need_window=False):

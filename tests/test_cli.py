@@ -104,7 +104,7 @@ def test_json_carries_correction_chunks_and_workers(capsys, monkeypatch):
     monkeypatch.setattr(error_correction.JobPool, "map", record)
     monkeypatch.setattr(error_correction, "_auto_chunk", lambda total: 4096)
     # a window above error_correction._POOL_WINDOW, which a pool serves
-    n = 4_000_000
+    n = 6_000_000
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     counting._residue_pass.cache_clear()
     cases = ((["pi", str(n)], oracles.pi_naive(n), 1),
@@ -214,7 +214,7 @@ def test_flags_default_to_the_config_fields():
 
 
 def test_coarse_delta_scale_answers(capsys):
-    # the correction window comes from the cell scan, which needs no bound
+    # the correction window comes from the knapsack bound, which needs no bound
     # on delta * log2(n)
     code, out, err = run_cli(capsys, "--delta-scale", "2", "pi", "1000000")
     assert (code, out, err) == (0, "78498\n", "")

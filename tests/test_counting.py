@@ -415,7 +415,7 @@ def test_fine_delta_scale_short_window_is_exact():
 
 
 def test_shrunk_window_matches_closed_form_window():
-    # the primorial-bounded window and the wider window (n, 2n], inside the
+    # the knapsack-bounded window and the wider window (n, 2n], inside the
     # boundary table, give one correction
     for n in (200_000, 10 ** 7):
         delta = counting._pipeline_delta(n, counting.Config())
@@ -429,11 +429,11 @@ def test_shrunk_window_matches_closed_form_window():
 
 def test_engine_window_lengths():
     # the default precision, and two other delta scales
-    for n, scale, expect in ((10 ** 8, 1, 1_859_138), (10 ** 9, 1, 6_722_164),
-                             (10 ** 10, 1, 27_669_229),
-                             (10 ** 11, 1, 90_019_696),
-                             (10 ** 8, 2, 3_752_841),
-                             (10 ** 9, Fraction(1, 2), 3_428_900)):
+    for n, scale, expect in ((10 ** 8, 1, 1_297_796), (10 ** 9, 1, 4_744_911),
+                             (10 ** 10, 1, 18_437_657),
+                             (10 ** 11, 1, 73_987_450),
+                             (10 ** 8, 2, 2_612_436),
+                             (10 ** 9, Fraction(1, 2), 2_443_023)):
         delta = counting._pipeline_delta(
             n, counting.Config(delta_scale=scale))
         params = segmentation.make_params(n, delta, need_window=True)
@@ -441,7 +441,7 @@ def test_engine_window_lengths():
 
 
 def test_coarse_delta_scale_is_exact(cutoff):
-    # at delta scale 2 the window comes from the cell scan alone
+    # at delta scale 2 the window comes from the knapsack bound alone
     cutoff(1000)
     cfg = counting.Config(delta_scale=2)
     assert primeconv.count_primes(10 ** 6, cfg) == 78498

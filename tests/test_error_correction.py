@@ -224,8 +224,9 @@ def test_pairs_identity_with_dirichlet_reference():
 
 
 def test_pair_prune_soundness_exhaustive():
-    # the premise of error_window_size: a square-free divisor with fewer
-    # than cell(m) - top - 1 prime factors fails the cell test
+    # each prime factor of a divisor loses less than one cell: a square-free
+    # divisor with fewer than cell(m) - top - 1 prime factors fails the cell
+    # test
     n, delta = 5000, Fraction(1, 100)
     params = seg.make_params(n, delta, need_window=True)
     top = params.top_cell
@@ -244,6 +245,37 @@ def test_pair_prune_soundness_exhaustive():
             passes = seg.cell_index(m // d, params) + kd <= top
             if omega < need:
                 assert not passes, (m, d)
+
+
+def test_window_premise_exhaustive():
+    # the premise of segmentation.window_cells: a square-free sqrt(n)-smooth
+    # d | m that passes the cell test leaves m at most ceil(F) cells past the
+    # top, F the cell loss of d's primes, exactly ceil(log2(d) / delta) -
+    # kh(d); over the window and at least (n, 2n]. At (438, 1/15) a pair
+    # reaches the window's last cell, so one cell less would lose it
+    for n, delta in ((5000, Fraction(1, 100)), (5000, Fraction(1, 2)),
+                     (5000, Fraction(1, 3000)), (438, Fraction(1, 15))):
+        params = seg.make_params(n, delta, need_window=True)
+        top = params.top_cell
+        bound = math.isqrt(n)
+        reach = 0
+        for m in range(n + 1, n + max(n, params.window) + 1):
+            ps = [p for p, _ in oracles.factor_naive(m) if p <= bound]
+            km = seg.cell_index(m, params)
+            for mask in range(1 << len(ps)):
+                d = math.prod(p for i, p in enumerate(ps) if mask >> i & 1)
+                kd = sum(seg.cell_index(p, params)
+                         for i, p in enumerate(ps) if mask >> i & 1)
+                if seg.cell_index(m // d, params) + kd > top:
+                    continue
+                # log2(d) / delta is an integer only for d = 1 and for d = 2
+                # at an integral 1 / delta
+                whole = d == 1 or (d == 2 and (1 / delta).denominator == 1)
+                loss = seg.cell_index(d, params) + (not whole) - kd
+                assert km <= top + loss, (delta, m, d)
+                reach = max(reach, km - top)
+        assert reach <= seg.window_cells(params), (n, delta)
+    assert reach == seg.window_cells(params) == 3
 
 
 _AUTO_CHUNK = ec._auto_chunk
@@ -271,8 +303,8 @@ def test_auto_chunk_is_capped():
     for total in (0, 1, 10 ** 5, 3 * 10 ** 7, 9 * 10 ** 7, 10 ** 12):
         assert ec._auto_chunk(total) <= 1 << 22, total
     # the default windows: S / 8 + 1 at 10^10, the cap at 10^11
-    assert ec._auto_chunk(27_669_229) == 3_458_654
-    assert ec._auto_chunk(90_019_696) == 1 << 22
+    assert ec._auto_chunk(18_437_657) == 2_304_708
+    assert ec._auto_chunk(73_987_450) == 1 << 22
 
 
 
@@ -289,10 +321,10 @@ def test_correction_workers_fit_the_memory_budget(monkeypatch):
     params = seg.make_params(
         n, counting._pipeline_delta(n, counting.Config()), need_window=True)
     bound = math.isqrt(n)
-    # 11 default chunks of 3,458,654 entries: the budget admits four workers
-    # however many threads are asked for; 37 chunks of 2^20 admit sixteen
-    for chunk, threads, jobs, workers in ((None, 64, 11, 4), (None, 2, 11, 2),
-                                          (1 << 20, 64, 37, 16)):
+    # 11 default chunks of 2,304,708 entries: the budget admits seven workers
+    # however many threads are asked for; 26 chunks of 2^20 admit sixteen
+    for chunk, threads, jobs, workers in ((None, 64, 11, 7), (None, 2, 11, 2),
+                                          (1 << 20, 64, 26, 16)):
         seen.clear()
         _fixed_chunk(monkeypatch, chunk)
         plan = ec.correction_plan(params, bound, threads)
@@ -316,7 +348,7 @@ def test_pool_runs_transforms_beside_a_short_correction(monkeypatch):
     # two one-chunk ranges and the transform jobs queued ahead of them: the
     # pool gives each job a worker, up to the threads asked for, once the
     # window reaches _POOL_WINDOW
-    n, delta = 6 * 10 ** 6, Fraction(1, 200)
+    n, delta = 8 * 10 ** 6, Fraction(1, 200)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
     plan = ec.correction_plan(params, bound)
@@ -328,11 +360,11 @@ def test_pool_runs_transforms_beside_a_short_correction(monkeypatch):
     short = seg.make_params(200_000, delta, need_window=True)
     assert short.window < ec._POOL_WINDOW
     assert _chunks_and_workers(short, 447, 8, 3) == (2, 1)
-    # the memory budget still caps a pool that holds transforms: four
+    # the memory budget still caps a pool that holds transforms: seven
     # workers at the default chunks of 10^10
     big = seg.make_params(10 ** 10, counting._pipeline_delta(
         10 ** 10, counting.Config()), need_window=True)
-    assert _chunks_and_workers(big, 10 ** 5, 64, 2) == (11, 4)
+    assert _chunks_and_workers(big, 10 ** 5, 64, 2) == (11, 7)
     # a shared pool returns each job's own value, whatever runs beside it,
     # and times the phases apart
     expect = ec.pairs_correction(params, bound)
@@ -422,7 +454,7 @@ def test_pairs_weighted_and_residue_modes():
 def test_pairs_thread_count_and_chunking_neutral(monkeypatch):
     # chunks of 977 split both the divisor range and the window into at
     # least 4 jobs, so 2 and 3 workers each take several of them
-    n, delta = 200_000, Fraction(1, 200)
+    n, delta = 210_000, Fraction(1, 200)
     params = seg.make_params(n, delta, need_window=True)
     bound = math.isqrt(n)
     assert params.window >= 4 * 977

@@ -135,31 +135,21 @@ def test_make_params_refuses_an_astronomic_table():
         seg.make_params(1000, Fraction(1, 10 ** 9))
 
 
-def test_window_monotone_in_delta():
-    last = -1
-    for num in range(1, 12):
-        params = seg.make_params(10 ** 5, Fraction(num, 1000), need_window=True)
-        assert params.window >= last
-        last = params.window
-
-
-def test_window_scan_stops_for_good():
-    # the scan stops at the first cell whose primorial test fails; no later
-    # cell passes it again, down to the coarsest delta make_params accepts
-    for n, delta in ((10 ** 6, Fraction(1, 10)), (10 ** 6, Fraction(1, 2)),
-                     (10 ** 11, Fraction(1)), (9, Fraction(1)),
-                     (10 ** 5, Fraction(7, 1000))):
+def test_window_sweep_is_short_and_loses_no_pair():
+    # seeded (n, delta): the window stays shorter than n and at or below the
+    # oracle's scan top, and gives the pair sum of (n, 2n]
+    rng = random.Random(28)
+    for _ in range(100):
+        n = int(10 ** rng.uniform(2, 5.5))
+        delta = Fraction(rng.randrange(1, 11),
+                         rng.randrange(4, 400) * n.bit_length())
         params = seg.make_params(n, delta, need_window=True)
-        top = params.top_cell
-        end = seg.cell_index(n + params.window, params)
-        assert params.cell_top(end) == n + params.window > n, (n, delta)
-        # up to 400 cells on, below 2^64, where the primorial table ends
-        k = top + 1
-        while k < end + 400 and params.cell_top(k) < 1 << 64:
-            passes = k - 1 - seg._max_squarefree_omega(params.cell_top(k)) <= top
-            assert passes == (k <= end), (n, delta, k)
-            k += 1
-        assert k > end + 1
+        assert (n + params.window <= oracles._pairs_scan_top(n, delta)
+                and params.window < n), (n, delta)
+        bound = math.isqrt(n)
+        assert (ec.pairs_correction(params, bound)
+                == ec.pairs_correction(dataclasses.replace(params, window=n),
+                                       bound)), (n, delta)
 
 
 def test_window_covers_every_contributing_pair():
@@ -199,16 +189,13 @@ def test_window_covers_every_contributing_pair():
 
 def test_shrunk_window_also_covers_pairs_and_is_smaller():
     # the window (n, 2n], inside the boundary table, holds every product the
-    # scan's window holds and more; both give one correction
+    # knapsack window holds and more; both give one correction
     n, delta = 20000, Fraction(1, 1000)
     params = seg.make_params(n, delta, need_window=True)
     assert 0 < params.window < n
     bound = math.isqrt(n)
     assert (ec.pairs_correction(params, bound)
             == ec.pairs_correction(dataclasses.replace(params, window=n), bound))
-    # a square-free d2 with omega(d2) prime factors is at least the primorial
-    assert seg._max_squarefree_omega(2 * 3 * 5 * 7) == 4
-    assert seg._max_squarefree_omega(2 * 3 * 5 * 7 - 1) == 3
 
 
 def test_cell_tops_and_floors_consistent():
